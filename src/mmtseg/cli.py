@@ -9,7 +9,6 @@ identical artifacts. Exit codes: 0 success, 1 runtime failure,
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import os
@@ -136,14 +135,6 @@ def _load_cases(data_dir):
     ]
 
 
-def _threads():
-    value = os.environ.get("MMTS_THREADS", "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        raise UsageError(f"MMTS_THREADS must be an integer, got {value!r}")
-
-
 def cmd_generate(args):
     extents = _parse_extents(args.extents)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -183,15 +174,17 @@ def _predict_labels(graph, patch_extents, volume):
     return probs_to_labels(reassemble(probs, grid))
 
 
-def _evaluate_cases(named_cases, predict_fn, threads):
-    def one(case):
-        name, volume, labels = case
-        return name, evaluate_volume(predict_fn(volume, labels), labels)
+def _evaluate_cases(named_cases, predict_fn):
+    return [
+        (name, evaluate_volume(predict_fn(volume, labels), labels))
+        for name, volume, labels in named_cases
+    ]
 
-    if threads == 1:
-        return [one(c) for c in named_cases]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, named_cases))
+
+def _load_checkpoint(path):
+    if not os.path.isfile(path + ".json"):
+        raise UsageError(f"checkpoint not found: {path}")
+    return load_checkpoint(path)
 
 
 def _report_payload(command, config_dict, seed, results):
@@ -212,26 +205,14 @@ def cmd_eval(args):
     else:
         if args.checkpoint is None:
             raise UsageError("--checkpoint is required unless --self-check is given")
-        meta_path = args.checkpoint + ".json"
-        if not os.path.isfile(meta_path):
-            raise UsageError(f"checkpoint not found: {args.checkpoint}")
-        with open(meta_path, "r", encoding="ascii") as fh:
-            meta = json.load(fh)["meta"]
-        config = TrainConfig(
-            variant=meta["variant"],
-            depth=meta["depth"],
-            base_channels=meta["base_channels"],
-            patch_extents=tuple(meta["patch_extents"]),
-            seed=meta["seed"],
-        )
-        graph, _, _ = load_checkpoint(args.checkpoint, config)
+        graph, _, config = _load_checkpoint(args.checkpoint)
         predict = lambda volume, labels: _predict_labels(
             graph, config.patch_extents, volume
         )
         config_dict = config.to_dict()
         seed = config.seed
 
-    results = _evaluate_cases(named_cases, predict, _threads())
+    results = _evaluate_cases(named_cases, predict)
     payload = _report_payload("eval", config_dict, seed, results)
     _write_json(args.report, payload)
     print(f"evaluated {len(results)} cases; report at {args.report}")
@@ -239,18 +220,7 @@ def cmd_eval(args):
 
 
 def cmd_infer(args):
-    if not os.path.isfile(args.checkpoint + ".json"):
-        raise UsageError(f"checkpoint not found: {args.checkpoint}")
-    with open(args.checkpoint + ".json", "r", encoding="ascii") as fh:
-        meta = json.load(fh)["meta"]
-    config = TrainConfig(
-        variant=meta["variant"],
-        depth=meta["depth"],
-        base_channels=meta["base_channels"],
-        patch_extents=tuple(meta["patch_extents"]),
-        seed=meta["seed"],
-    )
-    graph, _, _ = load_checkpoint(args.checkpoint, config)
+    graph, _, config = _load_checkpoint(args.checkpoint)
     os.makedirs(args.out_dir, exist_ok=True)
     for name, volume, _ in _load_cases(args.data_dir):
         pred = _predict_labels(graph, config.patch_extents, volume)
@@ -294,7 +264,6 @@ def cmd_compare(args):
     named_cases = _load_cases(args.data_dir)
     cases = [(vol, lbl) for _, vol, lbl in named_cases]
     os.makedirs(args.out_dir, exist_ok=True)
-    threads = _threads()
 
     table_rows = []
     for method, variant, lambda_sc in COMPARE_METHODS:
@@ -311,11 +280,11 @@ def cmd_compare(args):
         )
         run_dir = os.path.join(args.out_dir, method.lower().replace(" ", "_"))
         result = train(config, cases, run_dir)
-        graph, _, _ = load_checkpoint(result.checkpoint_path, config)
+        graph, _, _ = load_checkpoint(result.checkpoint_path)
         predict = lambda volume, labels, g=graph: _predict_labels(
             g, config.patch_extents, volume
         )
-        results = _evaluate_cases(named_cases, predict, threads)
+        results = _evaluate_cases(named_cases, predict)
         _write_json(
             os.path.join(run_dir, "report.json"),
             _report_payload("compare", config.to_dict(), config.seed, results),

@@ -66,9 +66,6 @@ class ForwardOutputs:
     tc_prob: Tensor | None = None
     et_prob: Tensor | None = None
 
-    def branch_probs(self):
-        return {"wt": self.wt_prob, "tc": self.tc_prob, "et": self.et_prob}
-
 
 class ParamStore:
     """Registers uniquely named trainable tensors with He-style init."""
@@ -133,15 +130,16 @@ class SCFB:
 
     def __call__(self, parts):
         f_concat = concat_channels(parts)
-        w_c = sigmoid(self.excite(relu(self.squeeze(global_avg_pool(f_concat)))))
-        w_s = sigmoid(self.spatial(f_concat))
+        w_c, w_s = self._weights(f_concat)
         f_c = mul_broadcast(f_concat, w_c)
         f_s = mul_broadcast(f_concat, w_s)
         return relu(self.fuse(add(f_c, f_s)))
 
     def attention_weights(self, parts):
         """(channel weights, spatial weights) for inspection and tests."""
-        f_concat = concat_channels(parts)
+        return self._weights(concat_channels(parts))
+
+    def _weights(self, f_concat):
         w_c = sigmoid(self.excite(relu(self.squeeze(global_avg_pool(f_concat)))))
         w_s = sigmoid(self.spatial(f_concat))
         return w_c, w_s
@@ -157,20 +155,34 @@ class ConcatFuse:
         return relu(self.fuse(concat_channels(parts)))
 
 
+class Decoder:
+    """Decoder half of a U-shape: upsample, concat the same-scale skip,
+    convolve, up to full resolution; then a 1×1×1 head to `out_ch` logits."""
+
+    def __init__(self, store, name, out_ch, depth, base):
+        self.blocks = []
+        for i in range(depth - 2, -1, -1):
+            c_in = base * 2 ** (i + 1) + base * 2**i  # upsampled + skip
+            self.blocks.append(ConvBlock(store, f"{name}.dec{i}", c_in, base * 2**i))
+        self.head = Conv3d(store, f"{name}.head", base, out_ch, k=1)
+
+    def __call__(self, feats):
+        """Logits from per-scale features, finest first."""
+        h = feats[-1]
+        for block, skip in zip(self.blocks, reversed(feats[:-1])):
+            h = block(concat_channels([nearest_upsample(h), skip]))
+        return self.head(h)
+
+
 class UNet:
     """Single-stream U-shape returning head logits and encoder features."""
 
     def __init__(self, store, name, in_ch, out_ch, depth, base):
-        self.depth = depth
         self.enc = []
         for i in range(depth):
             c_in = in_ch if i == 0 else base * 2 ** (i - 1)
             self.enc.append(ConvBlock(store, f"{name}.enc{i}", c_in, base * 2**i))
-        self.dec = []
-        for i in range(depth - 2, -1, -1):
-            c_in = base * 2 ** (i + 1) + base * 2**i  # upsampled + skip
-            self.dec.append(ConvBlock(store, f"{name}.dec{i}", c_in, base * 2**i))
-        self.head = Conv3d(store, f"{name}.head", base, out_ch, k=1)
+        self.decoder = Decoder(store, name, out_ch, depth, base)
 
     def __call__(self, x):
         feats = []
@@ -180,10 +192,7 @@ class UNet:
                 h = max_pool3d(h)
             h = block(h)
             feats.append(h)
-        h = feats[-1]
-        for block, skip in zip(self.dec, reversed(feats[:-1])):
-            h = block(concat_channels([nearest_upsample(h), skip]))
-        return self.head(h), feats
+        return self.decoder(feats), feats
 
 
 class FusedNet:
@@ -207,11 +216,7 @@ class FusedNet:
             self.fusions.append(
                 fusion_cls(store, f"main.fusion{i}", 4 * c_scale, c_scale)
             )
-        self.dec = []
-        for i in range(depth - 2, -1, -1):
-            c_in = base * 2 ** (i + 1) + base * 2**i
-            self.dec.append(ConvBlock(store, f"main.dec{i}", c_in, base * 2**i))
-        self.head = Conv3d(store, "main.head", base, NUM_CLASSES, k=1)
+        self.decoder = Decoder(store, "main", NUM_CLASSES, depth, base)
 
     def __call__(self, patch_np):
         branch_logits = {}
@@ -230,10 +235,7 @@ class FusedNet:
                 [branch_feats["wt"][i], branch_feats["tc"][i], branch_feats["et"][i], own]
             )
             fused.append(h)
-        h = fused[-1]
-        for block, skip in zip(self.dec, reversed(fused[:-1])):
-            h = block(concat_channels([nearest_upsample(h), skip]))
-        return self.head(h), branch_logits
+        return self.decoder(fused), branch_logits
 
 
 class ModelGraph:
@@ -257,9 +259,6 @@ class ModelGraph:
                     f"(depth {self.config.depth})"
                 )
         return self._forward(patch_np.astype(np.float32, copy=False))
-
-    def parameters(self):
-        return self.params
 
     def zero_grads(self):
         for t in self.params.values():
@@ -338,6 +337,19 @@ def load_blob(path):
     path = str(path)
     with open(path + ".json", "r", encoding="ascii") as fh:
         manifest = json.load(fh)
+    if not (
+        isinstance(manifest, dict)
+        and isinstance(manifest.get("meta"), dict)
+        and isinstance(manifest.get("entries"), list)
+        and all(
+            isinstance(e, dict) and {"name", "shape", "offset"} <= set(e)
+            for e in manifest["entries"]
+        )
+    ):
+        raise ValueError(
+            f"checkpoint manifest {path}.json needs 'meta' and 'entries' "
+            "with name/shape/offset per entry"
+        )
     blob = np.fromfile(path + ".bin", dtype="<f4")
     named = {}
     for entry in manifest["entries"]:

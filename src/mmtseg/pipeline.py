@@ -48,21 +48,6 @@ class PatchGrid:
     volume_extents: tuple
     origins: list
 
-    def to_dict(self):
-        return {
-            "patch_extents": list(self.patch_extents),
-            "volume_extents": list(self.volume_extents),
-            "origins": [list(o) for o in self.origins],
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            patch_extents=tuple(d["patch_extents"]),
-            volume_extents=tuple(d["volume_extents"]),
-            origins=[tuple(o) for o in d["origins"]],
-        )
-
 
 def _axis_starts(extent, patch):
     starts = list(range(0, extent - patch + 1, patch))
@@ -92,7 +77,7 @@ def build_grid(volume_extents, patch_extents) -> PatchGrid:
 
 
 def extract_patches(volume: MultiModalVolume, labels, grid: PatchGrid):
-    """Yield (image patch, label patch) pairs in deterministic grid order.
+    """List of (image patch, label patch) pairs in deterministic grid order.
 
     `labels` may be None at inference time; the label slot is then None.
     """

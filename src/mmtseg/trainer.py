@@ -138,18 +138,23 @@ def save_checkpoint(path, graph: ModelGraph, state: AdamState, config: TrainConf
     save_blob(path, named, meta)
 
 
-def load_checkpoint(path, config: TrainConfig):
-    """Rebuild graph and optimizer state; the config must match the file."""
+def load_checkpoint(path):
+    """Rebuild graph, optimizer state and the config the file was saved with.
+
+    The config carries the manifest meta; every other field is at its default.
+    """
     named, meta = load_blob(path)
-    for key, want in (
-        ("variant", config.variant),
-        ("depth", config.depth),
-        ("base_channels", config.base_channels),
-    ):
-        if meta[key] != want:
-            raise TrainingError(
-                f"checkpoint {key}={meta[key]!r} does not match config {key}={want!r}"
-            )
+    keys = ("variant", "depth", "base_channels", "patch_extents", "step", "seed")
+    missing = [k for k in keys if k not in meta]
+    if missing:
+        raise ValueError(f"checkpoint {path} meta lacks {missing}")
+    config = TrainConfig(
+        variant=meta["variant"],
+        depth=meta["depth"],
+        base_channels=meta["base_channels"],
+        patch_extents=tuple(meta["patch_extents"]),
+        seed=meta["seed"],
+    )
     graph = build_model(config.variant, config.model_config(), seed=config.seed)
     params = {k: v for k, v in named.items() if not k.startswith("adam.")}
     load_parameters(graph, params)
@@ -158,7 +163,7 @@ def load_checkpoint(path, config: TrainConfig):
     for name in graph.params:
         state.m[name][...] = named[f"adam.m.{name}"]
         state.v[name][...] = named[f"adam.v.{name}"]
-    return graph, state, meta
+    return graph, state, config
 
 
 def _format_row(step, components):
@@ -200,7 +205,13 @@ def train(config: TrainConfig, cases, out_dir, graph=None, resume_from=None) -> 
 
     state = None
     if resume_from is not None:
-        graph, state, _ = load_checkpoint(resume_from, config)
+        graph, state, saved = load_checkpoint(resume_from)
+        for key in ("variant", "depth", "base_channels"):
+            have, want = getattr(saved, key), getattr(config, key)
+            if have != want:
+                raise TrainingError(
+                    f"checkpoint {key}={have!r} does not match config {key}={want!r}"
+                )
     if graph is None:
         graph = build_model(config.variant, config.model_config(), seed=config.seed)
     if state is None:

@@ -147,7 +147,7 @@ class TestCriterion6OverfitExperiment:
         wt_soft_dice = 1.0 - result.final_components["loss_wt"]
         assert wt_soft_dice >= 0.90
 
-        graph, _, _ = load_checkpoint(result.checkpoint_path, config)
+        graph, _, _ = load_checkpoint(result.checkpoint_path)
         outputs = graph.forward(normalize(case[0]).data)
         wt_mask = outputs.wt_prob.data[0] > 0.5
         tc_mask = outputs.tc_prob.data[0] > 0.5

@@ -146,6 +146,49 @@ class TestEval:
                      "--report", str(tmp_path / "r.json")]) == 2
 
 
+@pytest.fixture(scope="module")
+def trained_run(data_dir, tmp_path_factory):
+    run = tmp_path_factory.mktemp("run")
+    assert main(["train", "--variant", "unet_pre", "--steps", "1", "--seed", "1",
+                 "--data-dir", str(data_dir), "--out-dir", str(run)]) == 0
+    return run
+
+
+def _drop_meta(m):
+    del m["meta"]
+
+
+def _drop_variant(m):
+    del m["meta"]["variant"]
+
+
+def _drop_entries(m):
+    del m["entries"]
+
+
+def _drop_shape(m):
+    del m["entries"][0]["shape"]
+
+
+class TestCorruptCheckpoint:
+    @pytest.mark.parametrize("command", ["eval", "infer"])
+    @pytest.mark.parametrize("corrupt", [_drop_meta, _drop_variant, _drop_entries, _drop_shape])
+    def test_exit_1_with_error_line(self, data_dir, trained_run, tmp_path, capsys, command,
+                                    corrupt):
+        manifest = json.loads((trained_run / "checkpoint.json").read_text())
+        corrupt(manifest)
+        (tmp_path / "ck.json").write_text(json.dumps(manifest))
+        (tmp_path / "ck.bin").write_bytes((trained_run / "checkpoint.bin").read_bytes())
+        out = ["--report", str(tmp_path / "r.json")] if command == "eval" else \
+            ["--out-dir", str(tmp_path / "pred")]
+        capsys.readouterr()
+        assert main([command, "--checkpoint", str(tmp_path / "ck"),
+                     "--data-dir", str(data_dir)] + out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
+
 class TestInfer:
     def test_predictions_written(self, data_dir, tmp_path):
         run = tmp_path / "run"

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -184,6 +186,25 @@ class TestInitialization:
         fan_in = kernel.shape[1] * kernel.shape[2] * kernel.shape[3] * kernel.shape[4]
         target = 2.0 / fan_in
         assert abs(kernel.var() - target) / target < 0.2
+
+    # Registration order fixes which He-init draws each parameter gets, so
+    # these digests pin names, shapes, order and initial values together.
+    CONSTRUCTION_SHA256 = {
+        "MMTSN": "5f90c5aaf2be1b3dbebee90c1d7561b98820edbcc78622bec746f53031d5d967",
+        "UNET_PRE": "a306f18ff354346864711fa26796f6412ecdaf2710b3726b0bf087713e2781a4",
+        "UNET_POST": "b05840ceef8413914450500f76aa62a8c6c616d1870169aa4bafed67e51f2b72",
+        "MMTSN_NO_SCFB": "901cd4f08b426c5a3ddc63a9922025613bf670047b8bc81e4389d5a28be870f5",
+    }
+
+    @pytest.mark.parametrize("variant", ["MMTSN", "UNET_PRE", "UNET_POST", "MMTSN_NO_SCFB"])
+    def test_construction_pinned(self, variant):
+        graph = build_model(variant, ModelConfig(depth=3, base_channels=8), seed=0)
+        h = hashlib.sha256()
+        for name, t in graph.params.items():
+            h.update(f"{name}:{tuple(t.data.shape)}\n".encode("ascii"))
+        for t in graph.params.values():
+            h.update(t.data.astype("<f4").tobytes())
+        assert h.hexdigest() == self.CONSTRUCTION_SHA256[variant]
 
     @pytest.mark.parametrize("variant", ["MMTSN", "UNET_PRE", "UNET_POST", "MMTSN_NO_SCFB"])
     def test_param_count_matches_declared_shapes(self, variant):

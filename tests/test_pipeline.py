@@ -83,11 +83,6 @@ class TestGrid:
                 covered[d : d + pd, h : h + ph, w : w + pw] = True
             assert covered.all()
 
-    def test_json_roundtrip(self):
-        grid = build_grid((32, 20, 18), (16, 16, 16))
-        restored = PatchGrid.from_dict(grid.to_dict())
-        assert restored == grid
-
 
 class TestExtractReassemble:
     def test_nonoverlapping_roundtrip_exact(self):

@@ -103,8 +103,10 @@ class TestTrainLoop:
         assert rows[0] == "step,loss_bt,loss_wt,loss_tc,loss_et,loss_sc,total"
         assert len(rows) == 2
         assert rows[1].startswith("1,")
-        graph, state, meta = load_checkpoint(result.checkpoint_path, config)
+        graph, state, saved = load_checkpoint(result.checkpoint_path)
         assert state.step == 1
+        assert saved == TrainConfig(variant="MMTSN", patch_extents=(16, 16, 16), depth=2,
+                                    base_channels=2, seed=3)
 
     def test_zero_init_unet_pre_matches_uniform_analytic(self, tmp_path):
         config = tiny_config(variant="UNET_PRE", steps=1)
@@ -163,7 +165,7 @@ class TestTrainLoop:
         config = tiny_config(steps=20, checkpoint_interval=2)
         with pytest.raises(TrainingError, match="non-finite loss"):
             train(config, phantom_cases(), tmp_path / "run")
-        graph, state, _ = load_checkpoint(str(tmp_path / "run" / "checkpoint"), config)
+        graph, state, _ = load_checkpoint(str(tmp_path / "run" / "checkpoint"))
         assert state.step == 4  # last periodic save before the blow-up
 
     def test_multi_case_multi_patch_schedule_covers_slots(self, tmp_path):
@@ -193,7 +195,7 @@ class TestCheckpointing:
             arr += 0.125
         p1, p2 = tmp_path / "c1", tmp_path / "c2"
         save_checkpoint(p1, graph, state, config)
-        graph2, state2, _ = load_checkpoint(p1, config)
+        graph2, state2, _ = load_checkpoint(p1)
         save_checkpoint(p2, graph2, state2, config)
         assert (tmp_path / "c1.bin").read_bytes() == (tmp_path / "c2.bin").read_bytes()
         assert (tmp_path / "c1.json").read_bytes() == (tmp_path / "c2.json").read_bytes()
@@ -203,7 +205,8 @@ class TestCheckpointing:
         graph = build_model("UNET_PRE", config.model_config(), seed=1)
         save_checkpoint(tmp_path / "ck", graph, AdamState.init_like(graph.params), config)
         with pytest.raises(TrainingError, match="variant"):
-            load_checkpoint(tmp_path / "ck", tiny_config(variant="MMTSN"))
+            train(tiny_config(variant="MMTSN"), phantom_cases(), tmp_path / "run",
+                  resume_from=tmp_path / "ck")
 
 
 class TestConfigSerialization:
