@@ -6,9 +6,13 @@ concatenation, elementwise arithmetic with two attention broadcast patterns,
 and scalar reductions for the losses.
 
 Values are stored as float32. Reductions and convolution contractions
-accumulate in float64 before casting back, and every op uses a fixed
-(row-major, kernel-major) summation order, so repeated runs are bitwise
-identical.
+accumulate in float64 before casting back, and every op's summation order
+is fixed by its operand shapes, so repeated runs are bitwise identical.
+
+Convolution runs on a flat padded layout in which each kernel tap is a
+fixed column shift, so its forward pass and both gradients are sums of
+GEMMs on contiguous column slices; the size of the im2col matrix alone
+picks whether the taps are copied into one GEMM or looped (see `conv3d`).
 """
 
 from __future__ import annotations
@@ -361,11 +365,85 @@ def _triple(v):
     return t
 
 
+# Largest im2col copy that conv3d contracts in one GEMM. The small
+# convolutions of the gradcheck suite, dominated by per-call cost, sit
+# below it; the multi-channel 16³ layers, where the copy would cost more
+# than it saves, sit above. Keeping it small bounds the copy's memory.
+_IM2COL_BYTES = 2 << 20
+
+
+def _taps(src, offset, span, kshape, plane, row):
+    """Column windows of a flat padded map `src` (rows × L), one per kernel tap.
+
+    Tap (i, j, k) is `src[:, s:s + span]` with s = offset + i·plane + j·row + k.
+    Returns the (taps·rows) × span im2col matrix when it takes at most
+    `_IM2COL_BYTES`, else the uncopied kd×kh×kw×rows×span view.
+    """
+    rs, cs = src.strides
+    view = np.lib.stride_tricks.as_strided(
+        src[:, offset:],
+        shape=(*kshape, src.shape[0], span),
+        strides=(plane * cs, row * cs, cs, rs, cs),
+        writeable=False,
+    )
+    if view.nbytes <= _IM2COL_BYTES:
+        return view.reshape(-1, span)
+    return view
+
+
+def _correlate(k, taps):
+    """Sum over taps t of `k[:, :, t] @ taps[t]`: an O × span float64 array."""
+    o = k.shape[0]
+    if taps.ndim == 2:
+        return k.transpose(0, 2, 3, 4, 1).reshape(o, -1) @ taps
+    ktaps = np.ascontiguousarray(k.transpose(2, 3, 4, 0, 1))
+    out = np.zeros((o, taps.shape[-1]))
+    for t in np.ndindex(*ktaps.shape[:3]):
+        out += ktaps[t] @ taps[t]
+    return out
+
+
+def _kernel_grad(g, taps, kshape):
+    """`g @ taps[t].T` for every tap t, as an O × C × kd × kh × kw array."""
+    o = g.shape[0]
+    if taps.ndim == 2:
+        return (g @ taps.T).reshape(o, *kshape, -1).transpose(0, 4, 1, 2, 3)
+    gk = np.empty((*kshape, o, taps.shape[3]))
+    for t in np.ndindex(*kshape):
+        gk[t] = g @ taps[t].T
+    return gk.transpose(3, 4, 0, 1, 2)
+
+
+def _grid(flat, extents, steps, plane, row):
+    """Voxels of a flat map: (z, y, x) is column z·sd·plane + y·sh·row + x·sw."""
+    rs, cs = flat.strides
+    sd, sh, sw = steps
+    return np.lib.stride_tricks.as_strided(
+        flat,
+        shape=(flat.shape[0], *extents),
+        strides=(rs, sd * plane * cs, sh * row * cs, sw * cs),
+    )
+
+
 def conv3d(x, kernel, bias, stride=1, padding=0):
     """3D cross-correlation of a C×D×H×W map with an O×C×kd×kh×kw kernel.
 
-    Differentiable w.r.t. input, kernel and bias. Contractions run in
-    float64 via an im2col layout and are cast back to float32.
+    Differentiable w.r.t. input, kernel and bias; the input gradient is
+    computed only when `x.requires_grad`. The padded input is flattened to
+    C × Dp·Hp·Wp, where kernel tap (i, j, k) is a fixed column shift
+    i·Hp·Wp + j·Wp + k, so every pass is a sum over taps of one GEMM on
+    a contiguous column slice (kn2row, Vasudevan et al. 2017):
+
+    - forward: K_t @ xp[:, shift_t:shift_t + span]
+    - kernel gradient: g @ xp[:, shift_t:shift_t + span].T, with g laid
+      on the padded grid and zero where no output voxel sits
+    - input gradient: the forward contraction with the kernel flipped and
+      transposed, over g after `shift_max` leading zeros
+
+    Shape alone picks how the taps are contracted: one GEMM on a copied
+    im2col matrix when it is small (per-call cost dominates), else a loop
+    of GEMMs over uncopied slices (the copy would dominate). Contractions
+    run in float64 and are cast back to float32.
     """
     sd, sh, sw = _triple(stride)
     pd, ph, pw = _triple(padding)
@@ -397,29 +475,33 @@ def conv3d(x, kernel, bias, stride=1, padding=0):
         x.data.astype(np.float64),
         ((0, 0), (pd, pd), (ph, ph), (pw, pw)),
     )
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (kd, kh, kw), axis=(1, 2, 3))
-    windows = windows[:, ::sd, ::sh, ::sw]  # C×Do×Ho×Wo×kd×kh×kw
+    plane, row = xp.shape[2] * xp.shape[3], xp.shape[3]
+    xp = xp.reshape(ci, -1)
+    kshape = (kd, kh, kw)
+    span = (do - 1) * sd * plane + (ho - 1) * sh * row + (wo - 1) * sw + 1
+    shift_max = (kd - 1) * plane + (kh - 1) * row + kw - 1
     k64 = kernel.data.astype(np.float64)
-    out = np.tensordot(k64, windows, axes=([1, 2, 3, 4], [0, 4, 5, 6]))
-    out += bias.data.astype(np.float64).reshape(o, 1, 1, 1)
+    # backward remakes the im2col copy: holding it in the graph raises peak memory
+    out = _grid(
+        _correlate(k64, _taps(xp, 0, span, kshape, plane, row)),
+        (do, ho, wo), (sd, sh, sw), plane, row,
+    )
+    out = out + bias.data.astype(np.float64).reshape(o, 1, 1, 1)
 
     def backward(g):
         g64 = g.astype(np.float64)
-        gk = np.tensordot(g64, windows, axes=([1, 2, 3], [1, 2, 3]))
+        gp = np.zeros((o, shift_max + xp.shape[1]))
+        _grid(gp[:, shift_max:], (do, ho, wo), (sd, sh, sw), plane, row)[...] = g64
+        x_taps = _taps(xp, 0, span, kshape, plane, row)
+        gk = _kernel_grad(gp[:, shift_max : shift_max + span], x_taps, kshape)
         gb = g64.sum(axis=(1, 2, 3))
-        gxp = np.zeros_like(xp)
-        # scatter-add one kernel offset at a time; overlaps forbid a pure view
-        for i in range(kd):
-            for j in range(kh):
-                for k in range(kw):
-                    t = np.tensordot(k64[:, :, i, j, k], g64, axes=([0], [0]))
-                    gxp[
-                        :,
-                        i : i + sd * do : sd,
-                        j : j + sh * ho : sh,
-                        k : k + sw * wo : sw,
-                    ] += t
-        gx = gxp[:, pd : pd + d, ph : ph + h, pw : pw + w]
+        gx = None
+        if x.requires_grad:
+            flipped = k64.transpose(1, 0, 2, 3, 4)[:, :, ::-1, ::-1, ::-1]
+            start = pd * plane + ph * row + pw
+            span_x = (d - 1) * plane + (h - 1) * row + w
+            g_taps = _taps(gp, start, span_x, kshape, plane, row)
+            gx = _grid(_correlate(flipped, g_taps), (d, h, w), (1, 1, 1), plane, row)
         return (gx, gk, gb)
 
     return _make(out.astype(np.float32), [x, kernel, bias], backward)

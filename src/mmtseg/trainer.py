@@ -138,16 +138,34 @@ def save_checkpoint(path, graph: ModelGraph, state: AdamState, config: TrainConf
     save_blob(path, named, meta)
 
 
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _check_meta(path, meta):
+    keys = ("variant", "depth", "base_channels", "patch_extents", "step", "seed")
+    missing = [k for k in keys if k not in meta]
+    if missing:
+        raise ValueError(f"checkpoint {path} meta lacks {missing}")
+    # variant needs no type check: build_model rejects anything outside VARIANTS
+    extents = meta["patch_extents"]
+    wrong = [k for k in ("depth", "base_channels", "step", "seed") if not _is_int(meta[k])]
+    if not (isinstance(extents, list) and len(extents) == 3 and all(map(_is_int, extents))):
+        wrong.append("patch_extents")
+    if wrong:
+        raise ValueError(
+            f"checkpoint {path} meta has wrong-typed {wrong}: "
+            "patch_extents must be a list of three integers, the rest integers"
+        )
+
+
 def load_checkpoint(path):
     """Rebuild graph, optimizer state and the config the file was saved with.
 
     The config carries the manifest meta; every other field is at its default.
     """
     named, meta = load_blob(path)
-    keys = ("variant", "depth", "base_channels", "patch_extents", "step", "seed")
-    missing = [k for k in keys if k not in meta]
-    if missing:
-        raise ValueError(f"checkpoint {path} meta lacks {missing}")
+    _check_meta(path, meta)
     config = TrainConfig(
         variant=meta["variant"],
         depth=meta["depth"],
@@ -159,10 +177,13 @@ def load_checkpoint(path):
     params = {k: v for k, v in named.items() if not k.startswith("adam.")}
     load_parameters(graph, params)
     state = AdamState.init_like(graph.params)
-    state.step = int(meta["step"])
-    for name in graph.params:
-        state.m[name][...] = named[f"adam.m.{name}"]
-        state.v[name][...] = named[f"adam.v.{name}"]
+    state.step = meta["step"]
+    for key, moments in (("adam.m", state.m), ("adam.v", state.v)):
+        for name, arr in moments.items():
+            entry = f"{key}.{name}"
+            if entry not in named:
+                raise ValueError(f"checkpoint {path} lacks entry {entry!r}")
+            arr[...] = named[entry]
     return graph, state, config
 
 

@@ -81,3 +81,55 @@ def _indices(shape):
         for h in range(shape[1]):
             for w in range(shape[2]):
                 yield (d, h, w)
+
+
+def _zeros(*shape):
+    if len(shape) == 1:
+        return [0.0] * shape[0]
+    return [_zeros(*shape[1:]) for _ in range(shape[0])]
+
+
+def oracle_conv3d(x, kernel, bias, g, stride, padding):
+    """3D cross-correlation and its gradients by direct float64 summation.
+
+    `x` is C×D×H×W, `kernel` O×C×kd×kh×kw, `bias` O and `g` the upstream
+    gradient of the O×Do×Ho×Wo output; `stride` and `padding` are per-axis
+    triples. Returns (out, grad_x, grad_kernel, grad_bias) as nested lists.
+    """
+    xs, ks, gs = x.tolist(), kernel.tolist(), g.tolist()
+    cin, d, h, w = len(xs), len(xs[0]), len(xs[0][0]), len(xs[0][0][0])
+    nout, kd, kh, kw = len(ks), len(ks[0][0]), len(ks[0][0][0]), len(ks[0][0][0][0])
+    (sd, sh, sw), (pd, ph, pw) = stride, padding
+    do = (d + 2 * pd - kd) // sd + 1
+    ho = (h + 2 * ph - kh) // sh + 1
+    wo = (w + 2 * pw - kw) // sw + 1
+    out = [[[[float(bias[o])] * wo for _ in range(ho)] for _ in range(do)] for o in range(nout)]
+    gx = _zeros(cin, d, h, w)
+    gk = _zeros(nout, cin, kd, kh, kw)
+    gb = [sum(v for plane in gs[o] for row in plane for v in row) for o in range(nout)]
+    for o in range(nout):
+        for c in range(cin):
+            for i in range(kd):
+                for j in range(kh):
+                    for k in range(kw):
+                        kv = ks[o][c][i][j][k]
+                        acc = 0.0
+                        for z in range(do):
+                            zi = z * sd + i - pd
+                            if not 0 <= zi < d:
+                                continue
+                            for y in range(ho):
+                                yi = y * sh + j - ph
+                                if not 0 <= yi < h:
+                                    continue
+                                for xo in range(wo):
+                                    xi = xo * sw + k - pw
+                                    if not 0 <= xi < w:
+                                        continue
+                                    xv = xs[c][zi][yi][xi]
+                                    gv = gs[o][z][y][xo]
+                                    out[o][z][y][xo] += kv * xv
+                                    acc += gv * xv
+                                    gx[c][zi][yi][xi] += kv * gv
+                        gk[o][c][i][j][k] = acc
+    return out, gx, gk, gb

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -170,9 +172,26 @@ def _drop_shape(m):
     del m["entries"][0]["shape"]
 
 
+def _str_depth(m):
+    m["meta"]["depth"] = "3"
+
+
+def _int_extents(m):
+    m["meta"]["patch_extents"] = 16
+
+
+def _int_variant(m):
+    m["meta"]["variant"] = 3
+
+
+def _drop_moments(m):
+    m["entries"] = [e for e in m["entries"] if not e["name"].startswith("adam.")]
+
+
 class TestCorruptCheckpoint:
     @pytest.mark.parametrize("command", ["eval", "infer"])
-    @pytest.mark.parametrize("corrupt", [_drop_meta, _drop_variant, _drop_entries, _drop_shape])
+    @pytest.mark.parametrize("corrupt", [_drop_meta, _drop_variant, _drop_entries, _drop_shape,
+                                         _str_depth, _int_extents, _int_variant, _drop_moments])
     def test_exit_1_with_error_line(self, data_dir, trained_run, tmp_path, capsys, command,
                                     corrupt):
         manifest = json.loads((trained_run / "checkpoint.json").read_text())
@@ -187,6 +206,23 @@ class TestCorruptCheckpoint:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "Traceback" not in err
+
+
+class TestBlasThreads:
+    def test_train_bytes_equal_for_one_and_two_blas_threads(self, data_dir, tmp_path):
+        # conv3d hands BLAS strided operands; its thread split must not reach the bytes
+        src = str(Path(mmtseg.tensor.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        runs = []
+        for threads in ("1", "2"):
+            run = tmp_path / f"run_{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+            subprocess.run([sys.executable, "-m", "mmtseg.cli", "train", "--steps", "3",
+                            "--seed", "5", "--data-dir", str(data_dir), "--out-dir", str(run)],
+                           env=env, check=True, timeout=600)
+            runs.append(run)
+        for f in ("loss_log.csv", "checkpoint.bin"):
+            assert (runs[0] / f).read_bytes() == (runs[1] / f).read_bytes(), f
 
 
 class TestInfer:

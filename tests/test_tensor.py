@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mmtseg.tensor
 from mmtseg.tensor import (
     ShapeError,
     Tensor,
@@ -17,6 +18,8 @@ from mmtseg.tensor import (
     softmax_channels,
     tensor_sum,
 )
+
+from oracles import oracle_conv3d
 
 FD_TOL = 1e-3
 
@@ -93,6 +96,47 @@ class TestConv3d:
             lambda t: weighted_sum(conv3d(t, k, b, stride=2, padding=1), np.random.default_rng(3)), x
         )
         assert err < FD_TOL
+
+    # (input, kernel, stride, padding); the last shape's forward im2col
+    # (27 taps × 2 channels × 6290 columns × 8 bytes) exceeds the default cap
+    ORACLE_CASES = [
+        ((2, 3, 3, 3), (2, 2, 3, 3, 3), 1, 1),
+        ((1, 6, 6, 6), (2, 1, 3, 3, 3), 2, 1),
+        ((3, 5, 7, 6), (4, 3, 1, 1, 1), 1, 0),
+        ((3, 5, 7, 6), (2, 3, 3, 2, 1), (2, 1, 3), (1, 0, 2)),
+        ((2, 7, 9, 8), (3, 2, 3, 3, 3), 3, 0),
+        ((2, 16, 16, 20), (1, 2, 3, 3, 3), 1, 1),
+    ]
+
+    @pytest.mark.parametrize("xshape,kshape,stride,padding", ORACLE_CASES)
+    def test_matches_loop_oracle_under_both_contractions(self, rng, monkeypatch, xshape,
+                                                         kshape, stride, padding):
+        x = rng.uniform(-1, 1, xshape).astype(np.float32)
+        k = rng.uniform(-1, 1, kshape).astype(np.float32)
+        b = rng.uniform(-1, 1, kshape[0]).astype(np.float32)
+        triple = lambda v: (v, v, v) if isinstance(v, int) else v
+        default_cap = mmtseg.tensor._IM2COL_BYTES
+        g = ref = None
+        # default cap, every contraction a tap loop, every one a single im2col GEMM
+        for cap in (default_cap, 0, 1 << 62):
+            monkeypatch.setattr(mmtseg.tensor, "_IM2COL_BYTES", cap)
+            xt, kt, bt = (Tensor(a, requires_grad=True) for a in (x, k, b))
+            out = conv3d(xt, kt, bt, stride=stride, padding=padding)
+            if ref is None:
+                g = rng.uniform(-1, 1, out.data.shape).astype(np.float32)
+                ref = oracle_conv3d(x, k, b, g, triple(stride), triple(padding))
+            tensor_sum(mul_broadcast(out, Tensor(g))).backward()
+            # float64 sums cast once to float32: within one float32 ulp
+            for got, want in zip((out.data, xt.grad, kt.grad, bt.grad), ref):
+                np.testing.assert_allclose(got, np.asarray(want), rtol=2.0**-23, atol=1e-12)
+
+    def test_input_gradient_skipped_without_requires_grad(self, rng):
+        x = rand_tensor(rng, (2, 4, 4, 4), requires_grad=False)
+        k = rand_tensor(rng, (3, 2, 3, 3, 3))
+        out = conv3d(x, k, rand_tensor(rng, (3,)), padding=1)
+        gx, gk, gb = out._backward(np.ones(out.data.shape, dtype=np.float32))
+        assert gx is None
+        assert gk.shape == k.data.shape and gb.shape == (3,)
 
 
 class TestPointwise:
