@@ -30,6 +30,7 @@ from .phantom import (
     write_volume,
 )
 from .pipeline import build_grid, extract_patches, normalize, probs_to_labels, reassemble
+from .tensor import no_grad
 from .trainer import TrainConfig, TrainingError, load_checkpoint, train
 
 EXIT_OK = 0
@@ -170,7 +171,8 @@ def cmd_train(args):
 def _predict_labels(graph, patch_extents, volume):
     norm = normalize(volume)
     grid = build_grid(norm.extents, patch_extents)
-    probs = [graph.forward(img).main_probs.data for img, _ in extract_patches(norm, None, grid)]
+    with no_grad():
+        probs = [graph.forward(img).main_probs.data for img, _ in extract_patches(norm, None, grid)]
     return probs_to_labels(reassemble(probs, grid))
 
 

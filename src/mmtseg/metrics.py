@@ -5,6 +5,19 @@ directions and takes the 95th percentile with linear interpolation, so it
 is symmetric by construction. A voxel is boundary if it is foreground with
 at least one six-connected background neighbor; the volume border counts
 as background. Distances are in voxel units (phantom spacing is isotropic).
+
+The distance from each boundary voxel of A to the nearest boundary voxel of
+B is read off an exact squared Euclidean distance transform of B's boundary
+(separable, one axis at a time: Felzenszwalb & Huttenlocher 2012, "Distance
+Transforms of Sampled Functions"; Maurer et al. 2003), and likewise the
+other way. It costs at most O(N·L) for N voxels and a longest axis L,
+where comparing every pair of boundary voxels costs O(|∂A|·|∂B|). Both
+masks are first cropped to the bounding box of ∂A ∪ ∂B: every boundary
+voxel of either mask lies inside it, so the crop drops no candidate
+nearest point. Squared distances stay integers throughout, so each
+directed distance is `sqrt` of the same integer the pairwise definition
+computes, the pooled values are identical, and so is their percentile,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -41,9 +54,16 @@ def dice_score(a, b) -> float:
     return 2.0 * int(np.sum(a & b)) / (na + nb)
 
 
+def _volume_mask(mask):
+    arr = _as_bool(mask)
+    if arr.ndim != 3:
+        raise ValueError(f"expected a 3-D mask, got shape {arr.shape}")
+    return arr
+
+
 def boundary_voxels(mask) -> np.ndarray:
     """Foreground voxels with a six-connected background neighbor."""
-    m = _as_bool(mask)
+    m = _volume_mask(mask)
     p = np.pad(m, 1, constant_values=False)
     interior = (
         p[:-2, 1:-1, 1:-1]
@@ -56,15 +76,42 @@ def boundary_voxels(mask) -> np.ndarray:
     return m & ~interior
 
 
-def _directed_min_distances(src, dst):
-    """Min Euclidean distance from each src point to the dst point set."""
-    out = np.empty(len(src), dtype=np.float64)
-    dst64 = dst.astype(np.float64)
-    for start in range(0, len(src), 256):
-        block = src[start : start + 256].astype(np.float64)
-        d2 = ((block[:, None, :] - dst64[None, :, :]) ** 2).sum(axis=2)
-        out[start : start + 256] = np.sqrt(d2.min(axis=1))
-    return out
+def _parabola_min(g, axis):
+    """Along `axis`: out[x] = min over x' of g[x'] + (x - x')², exactly.
+
+    Offsets grow until d² reaches the largest entry left; from there on no
+    x' can lower any entry. Lines that hold only the sentinel keep it.
+    """
+    g = np.moveaxis(g, axis, 0)
+    out = g.copy()
+    for d in range(1, len(g)):
+        dd = d * d
+        if dd >= out.max():
+            break
+        np.minimum(out[d:], g[:-d] + dd, out=out[d:])
+        np.minimum(out[:-d], g[d:] + dd, out=out[:-d])
+    return np.moveaxis(out, 0, axis)
+
+
+def _sq_distances(feature, points):
+    """Squared Euclidean distance from each point to the nearest `feature` voxel.
+
+    One pass along axis 0, then one along axis 1, over the grid, and axis 2
+    only on the rows that hold `points`. Lines along axis 0 outside the
+    feature's (y, x) bounding box, and along axis 1 outside its x range,
+    hold no feature, so the passes skip them. `feature` must not be empty.
+    """
+    far = sum(n * n for n in feature.shape)  # above any squared distance in the grid
+    dtype = np.int32 if 2 * far < 2**31 else np.int64  # sums stay below 2·far
+    ys, xs = np.nonzero(feature.any(axis=0))
+    y0, y1, x0, x1 = ys.min(), ys.max() + 1, xs.min(), xs.max() + 1
+    g = np.full((feature.shape[0], feature.shape[1], x1 - x0), far, dtype=dtype)
+    g[:, y0:y1] = _parabola_min(np.where(feature[:, y0:y1, x0:x1], 0, far).astype(dtype), 0)
+    g = _parabola_min(g, 1)
+    rows = g[points[:, 0], points[:, 1]]
+    sq = np.arange(feature.shape[2], dtype=dtype) ** 2
+    rows += sq[np.abs(points[:, 2:] - np.arange(x0, x1))]
+    return rows.min(axis=1)
 
 
 def hd95(a, b):
@@ -72,17 +119,20 @@ def hd95(a, b):
 
     Returns None when either mask is empty; never NaN.
     """
-    a = _as_bool(a)
-    b = _as_bool(b)
+    a = _volume_mask(a)
+    b = _volume_mask(b)
     _check_same_shape(a, b)
     if not a.any() or not b.any():
         return None
-    pa = np.argwhere(boundary_voxels(a))
-    pb = np.argwhere(boundary_voxels(b))
-    pooled = np.concatenate(
-        [_directed_min_distances(pa, pb), _directed_min_distances(pb, pa)]
+    ba = boundary_voxels(a)
+    bb = boundary_voxels(b)
+    both = np.argwhere(ba | bb)
+    box = tuple(slice(lo, hi + 1) for lo, hi in zip(both.min(axis=0), both.max(axis=0)))
+    ba, bb = ba[box], bb[box]
+    sq = np.concatenate(
+        [_sq_distances(bb, np.argwhere(ba)), _sq_distances(ba, np.argwhere(bb))]
     )
-    return float(np.percentile(pooled, 95))
+    return float(np.percentile(np.sqrt(sq.astype(np.float64)), 95))
 
 
 def containment_violation(outer, inner) -> float:

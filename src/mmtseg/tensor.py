@@ -25,6 +25,7 @@ __all__ = [
     "Tensor",
     "ShapeError",
     "set_debug_checks",
+    "no_grad",
     "add",
     "mul_broadcast",
     "relu",
@@ -53,6 +54,27 @@ def set_debug_checks(enabled):
     """Enable per-op NaN/Inf assertions on values and gradients."""
     global _debug_checks
     _debug_checks = bool(enabled)
+
+
+_grad_enabled = True
+
+
+class no_grad:
+    """Context in which ops record no parents or backward closures.
+
+    Outputs made inside it are graph leaves with `requires_grad` False, so
+    nothing keeps intermediates alive for a backward pass that inference
+    never runs. Parameters keep their own `requires_grad`.
+    """
+
+    def __enter__(self):
+        global _grad_enabled
+        self._prev = _grad_enabled
+        _grad_enabled = False
+
+    def __exit__(self, *exc):
+        global _grad_enabled
+        _grad_enabled = self._prev
 
 
 def _check_finite(arr, what):
@@ -183,7 +205,7 @@ def _topo_order(root):
 
 def _make(data, parents, backward):
     out = Tensor(data)
-    out.requires_grad = any(p.requires_grad for p in parents)
+    out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
     if out.requires_grad:
         out._parents = tuple(parents)
         out._backward = backward
@@ -397,9 +419,12 @@ def _correlate(k, taps):
     if taps.ndim == 2:
         return k.transpose(0, 2, 3, 4, 1).reshape(o, -1) @ taps
     ktaps = np.ascontiguousarray(k.transpose(2, 3, 4, 0, 1))
+    # numpy runs an (O×1)@(1×span) matmul outside BLAS, several times slower
+    # than the broadcast product, which it equals bitwise
+    tap_product = np.multiply if k.shape[1] == 1 else np.matmul
     out = np.zeros((o, taps.shape[-1]))
     for t in np.ndindex(*ktaps.shape[:3]):
-        out += ktaps[t] @ taps[t]
+        out += tap_product(ktaps[t], taps[t])
     return out
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import subprocess
@@ -7,9 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mmtseg.cli
 import mmtseg.tensor
-from mmtseg.cli import main
+from mmtseg.cli import _predict_labels, main
 from mmtseg.phantom import read_labels, read_volume
+from mmtseg.trainer import load_checkpoint
 
 from oracles import oracle_quantile
 
@@ -154,6 +157,31 @@ def trained_run(data_dir, tmp_path_factory):
     assert main(["train", "--variant", "unet_pre", "--steps", "1", "--seed", "1",
                  "--data-dir", str(data_dir), "--out-dir", str(run)]) == 0
     return run
+
+
+class TestInferenceGraph:
+    def test_predict_records_no_graph(self, data_dir, trained_run, monkeypatch):
+        graph, _, config = load_checkpoint(str(trained_run / "checkpoint"))
+        volume = read_volume(str(sorted(data_dir.glob("*_img.mmts"))[0]))
+        recorded = []
+        make = mmtseg.tensor._make
+
+        def spy(data, parents, backward):
+            out = make(data, parents, backward)
+            recorded.append(out._backward is not None or out._parents != ())
+            return out
+
+        monkeypatch.setattr(mmtseg.tensor, "_make", spy)
+        labels = _predict_labels(graph, config.patch_extents, volume)
+        assert recorded and not any(recorded)
+        assert all(t.requires_grad for t in graph.params.values())
+
+        # the same prediction with the graph recorded, as training would
+        recorded.clear()
+        monkeypatch.setattr(mmtseg.cli, "no_grad", contextlib.nullcontext)
+        with_graph = _predict_labels(graph, config.patch_extents, volume)
+        assert all(recorded)
+        assert np.array_equal(labels.data, with_graph.data)
 
 
 def _drop_meta(m):

@@ -109,6 +109,100 @@ class TestHd95:
         assert surf[0, 0, 0] and surf[3, 3, 3]
         assert not surf[1:3, 1:3, 1:3].any()
 
+    def test_rejects_masks_that_are_not_3d(self):
+        flat = np.ones((4, 4), dtype=bool)
+        with pytest.raises(ValueError, match="3-D"):
+            hd95(flat, flat)
+        with pytest.raises(ValueError, match="3-D"):
+            hd95(np.zeros((4, 4), dtype=bool), np.zeros((4, 4), dtype=bool))
+        with pytest.raises(ValueError, match="3-D"):
+            boundary_voxels(flat)
+        with pytest.raises(ValueError, match="3-D"):
+            boundary_voxels(np.ones((2, 2, 2, 2), dtype=bool))
+
+
+def _mask(shape, *boxes):
+    m = np.zeros(shape, dtype=bool)
+    for box in boxes:
+        m[box] = True
+    return m
+
+
+# (a, b) pairs off the 8³ random-cube path: the transform crops to the
+# joint boundary box and runs per axis, so shape, placement and extent vary
+GEOMETRY_PAIRS = {
+    "line_1x1xN": (
+        _mask((1, 1, 23), np.s_[:, :, 2:5], np.s_[:, :, 9]),
+        _mask((1, 1, 23), np.s_[:, :, 15:22]),
+    ),
+    "line_Nx1x1": (
+        _mask((19, 1, 1), np.s_[0]),
+        _mask((19, 1, 1), np.s_[7:12]),
+    ),
+    "non_cubic_5x17x9": (
+        np.random.default_rng(5).random((5, 17, 9)) < 0.3,
+        np.random.default_rng(6).random((5, 17, 9)) < 0.1,
+    ),
+    "opposite_corners": (
+        _mask((9, 13, 11), np.s_[:2, :3, :2]),
+        _mask((9, 13, 11), np.s_[-3:, -2:, -4:]),
+    ),
+    "opposite_corner_voxels": (
+        _mask((6, 7, 8), np.s_[0, 0, 0]),
+        _mask((6, 7, 8), np.s_[5, 6, 7]),
+    ),
+    "touching_border": (
+        _mask((10, 12, 9), np.s_[:, 3:7, 0:4]),
+        _mask((10, 12, 9), np.s_[2:8, :, 5:]),
+    ),
+    "full_volume_vs_ball": (
+        np.ones((11, 9, 13), dtype=bool),
+        np.sum((np.indices((11, 9, 13)) - np.reshape([5, 4, 6], (3, 1, 1, 1))) ** 2, axis=0) <= 6,
+    ),
+    "single_voxel_vs_slab": (
+        _mask((7, 9, 8), np.s_[3, 4, 5]),
+        _mask((7, 9, 8), np.s_[:, :, 1:3]),
+    ),
+    "single_voxels": (
+        _mask((7, 9, 8), np.s_[1, 7, 2]),
+        _mask((7, 9, 8), np.s_[6, 0, 5]),
+    ),
+    "one_slab_each_axis": (
+        _mask((8, 10, 12), np.s_[3], np.s_[:, 2:4, 5:9]),
+        _mask((8, 10, 12), np.s_[:, :, 10]),
+    ),
+    "slab_vs_random": (
+        _mask((12, 6, 10), np.s_[:, 4]),
+        np.random.default_rng(7).random((12, 6, 10)) < 0.05,
+    ),
+}
+
+
+class TestHd95Geometry:
+    @pytest.mark.parametrize("name", sorted(GEOMETRY_PAIRS))
+    def test_equals_oracle_exactly(self, name):
+        a, b = GEOMETRY_PAIRS[name]
+        assert a.any() and b.any()
+        expected = oracle_hd95(a, b)
+        assert hd95(a, b) == expected
+        assert hd95(b, a) == expected
+
+    @pytest.mark.parametrize("extent", [48, 64])
+    def test_phantom_vs_near_full_cube_matches_scipy(self, extent):
+        ndimage = pytest.importorskip("scipy.ndimage")
+        _, labels = generate_phantom(3, (extent,) * 3)
+        pred = np.ones((extent,) * 3, dtype=bool)
+        pred[0, 0, 0] = False  # the never-background prediction of an undertrained model
+        structure = ndimage.generate_binary_structure(3, 1)
+        for region in (labels.data > 0, labels.data == 3):
+            ba = pred & ~ndimage.binary_erosion(pred, structure, border_value=0)
+            bb = region & ~ndimage.binary_erosion(region, structure, border_value=0)
+            pooled = np.concatenate([
+                ndimage.distance_transform_edt(~bb)[ba],
+                ndimage.distance_transform_edt(~ba)[bb],
+            ])
+            assert hd95(pred, region) == pytest.approx(np.percentile(pooled, 95), abs=1e-9)
+
 
 class TestContainment:
     def test_nested_masks_zero(self):

@@ -13,6 +13,7 @@ from mmtseg.tensor import (
     max_pool3d,
     mul_broadcast,
     nearest_upsample,
+    no_grad,
     relu,
     sigmoid,
     softmax_channels,
@@ -376,6 +377,33 @@ class TestBackward:
         y = add(mul_broadcast(w, 3.0), mul_broadcast(w, 5.0))
         tensor_sum(y).backward()
         assert w.grad[0] == pytest.approx(8.0)
+
+
+class TestNoGrad:
+    def test_ops_record_no_graph_and_give_equal_values(self, rng):
+        x = rand_tensor(rng, (2, 4, 4, 4))
+        k = rand_tensor(rng, (3, 2, 3, 3, 3))
+        b = rand_tensor(rng, (3,))
+
+        def net():
+            h = relu(conv3d(x, k, b, padding=1))
+            return softmax_channels(concat_channels([h, mul_broadcast(h, 2.0)]))
+
+        with no_grad():
+            inside = net()
+        outside = net()
+        assert inside._parents == () and inside._backward is None
+        assert not inside.requires_grad
+        assert outside.requires_grad and outside._backward is not None
+        assert np.array_equal(inside.data, outside.data)
+        assert x.requires_grad and k.requires_grad and b.requires_grad
+
+    def test_restores_recording_after_an_exception(self, rng):
+        x = rand_tensor(rng, (2, 2, 2, 2))
+        with pytest.raises(ShapeError):
+            with no_grad():
+                add(x, rand_tensor(rng, (2, 2, 2, 3)))
+        assert relu(x)._backward is not None
 
 
 class TestDeterminismAndChecks:
