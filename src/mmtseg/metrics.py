@@ -7,10 +7,11 @@ at least one six-connected background neighbor; the volume border counts
 as background. Distances are in voxel units (phantom spacing is isotropic).
 
 The distance from each boundary voxel of A to the nearest boundary voxel of
-B is read off an exact squared Euclidean distance transform of B's boundary
-(separable, one axis at a time: Felzenszwalb & Huttenlocher 2012, "Distance
-Transforms of Sampled Functions"; Maurer et al. 2003), and likewise the
-other way. It costs at most O(N·L) for N voxels and a longest axis L,
+B is read off an exact squared Euclidean distance transform of B's boundary,
+and likewise the other way. The transform is separable (the decomposition
+of Felzenszwalb & Huttenlocher 2012, "Distance Transforms of Sampled
+Functions"): one pass per axis sets each entry to the min over offsets d of
+g[x ± d] + d², in int64. That is O(N·L) for N voxels and a longest axis L,
 where comparing every pair of boundary voxels costs O(|∂A|·|∂B|). Both
 masks are first cropped to the bounding box of ∂A ∪ ∂B: every boundary
 voxel of either mask lies inside it, so the crop drops no candidate
@@ -77,17 +78,11 @@ def boundary_voxels(mask) -> np.ndarray:
 
 
 def _parabola_min(g, axis):
-    """Along `axis`: out[x] = min over x' of g[x'] + (x - x')², exactly.
-
-    Offsets grow until d² reaches the largest entry left; from there on no
-    x' can lower any entry. Lines that hold only the sentinel keep it.
-    """
+    """Along `axis`: out[x] = min over offsets d of g[x ± d] + d², exactly."""
     g = np.moveaxis(g, axis, 0)
     out = g.copy()
     for d in range(1, len(g)):
         dd = d * d
-        if dd >= out.max():
-            break
         np.minimum(out[d:], g[:-d] + dd, out=out[d:])
         np.minimum(out[:-d], g[d:] + dd, out=out[:-d])
     return np.moveaxis(out, 0, axis)
@@ -96,21 +91,15 @@ def _parabola_min(g, axis):
 def _sq_distances(feature, points):
     """Squared Euclidean distance from each point to the nearest `feature` voxel.
 
-    One pass along axis 0, then one along axis 1, over the grid, and axis 2
-    only on the rows that hold `points`. Lines along axis 0 outside the
-    feature's (y, x) bounding box, and along axis 1 outside its x range,
-    hold no feature, so the passes skip them. `feature` must not be empty.
+    One pass along axis 0, then one along axis 1, over the grid; the pass
+    along axis 2 runs only on the rows that hold `points`. `feature` must
+    not be empty.
     """
     far = sum(n * n for n in feature.shape)  # above any squared distance in the grid
-    dtype = np.int32 if 2 * far < 2**31 else np.int64  # sums stay below 2·far
-    ys, xs = np.nonzero(feature.any(axis=0))
-    y0, y1, x0, x1 = ys.min(), ys.max() + 1, xs.min(), xs.max() + 1
-    g = np.full((feature.shape[0], feature.shape[1], x1 - x0), far, dtype=dtype)
-    g[:, y0:y1] = _parabola_min(np.where(feature[:, y0:y1, x0:x1], 0, far).astype(dtype), 0)
-    g = _parabola_min(g, 1)
+    g = np.where(feature, 0, far).astype(np.int64)
+    g = _parabola_min(_parabola_min(g, 0), 1)
     rows = g[points[:, 0], points[:, 1]]
-    sq = np.arange(feature.shape[2], dtype=dtype) ** 2
-    rows += sq[np.abs(points[:, 2:] - np.arange(x0, x1))]
+    rows += (points[:, 2:] - np.arange(feature.shape[2])) ** 2
     return rows.min(axis=1)
 
 

@@ -419,12 +419,9 @@ def _correlate(k, taps):
     if taps.ndim == 2:
         return k.transpose(0, 2, 3, 4, 1).reshape(o, -1) @ taps
     ktaps = np.ascontiguousarray(k.transpose(2, 3, 4, 0, 1))
-    # numpy runs an (O×1)@(1×span) matmul outside BLAS, several times slower
-    # than the broadcast product, which it equals bitwise
-    tap_product = np.multiply if k.shape[1] == 1 else np.matmul
     out = np.zeros((o, taps.shape[-1]))
     for t in np.ndindex(*ktaps.shape[:3]):
-        out += tap_product(ktaps[t], taps[t])
+        out += ktaps[t] @ taps[t]
     return out
 
 
