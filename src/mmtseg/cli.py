@@ -92,6 +92,8 @@ def _load_config(path, overrides):
                 data = json.load(fh)
             except json.JSONDecodeError as exc:
                 raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
+        if not isinstance(data, dict):
+            raise UsageError(f"config file {path} holds a {type(data).__name__}, not an object")
     data.update({k: v for k, v in overrides.items() if v is not None})
     try:
         return TrainConfig.from_dict(data)

@@ -236,6 +236,8 @@ def read_volume(path) -> MultiModalVolume:
     arr, token = _read_array(path)
     if token != "f32":
         raise VolumeFormatError(f"{path}: expected f32 image payload, got {token}")
+    if not np.isfinite(arr).all():
+        raise VolumeFormatError(f"{path}: non-finite voxel values (NaN or Inf)")
     return MultiModalVolume(data=np.array(arr, dtype=np.float32))
 
 

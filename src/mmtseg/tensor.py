@@ -11,8 +11,8 @@ is fixed by its operand shapes, so repeated runs are bitwise identical.
 
 Convolution runs on a flat padded layout in which each kernel tap is a
 fixed column shift, so its forward pass and both gradients are sums of
-GEMMs on contiguous column slices; the size of the im2col matrix alone
-picks whether the taps are copied into one GEMM or looped (see `conv3d`).
+GEMMs on contiguous column slices; the channels per tap alone pick whether
+the taps are copied into fixed-size im2col tiles or looped (see `conv3d`).
 """
 
 from __future__ import annotations
@@ -387,39 +387,37 @@ def _triple(v):
     return t
 
 
-# Largest im2col copy that conv3d contracts in one GEMM. The small
-# convolutions of the gradcheck suite, dominated by per-call cost, sit
-# below it; the multi-channel 16³ layers, where the copy would cost more
-# than it saves, sit above. Keeping it small bounds the copy's memory.
-_IM2COL_BYTES = 2 << 20
+# Contractions with at most _TILE_CHANNELS channels per tap copy their taps into
+# im2col tiles of at most _TILE_BYTES, sized to stay in L2; wider ones loop over
+# taps. Constants, not options: the summation order depends on shapes alone.
+_TILE_CHANNELS = 16
+_TILE_BYTES = 512 << 10
 
 
 def _taps(src, offset, span, kshape, plane, row):
-    """Column windows of a flat padded map `src` (rows × L), one per kernel tap.
-
-    Tap (i, j, k) is `src[:, s:s + span]` with s = offset + i·plane + j·row + k.
-    Returns the (taps·rows) × span im2col matrix when it takes at most
-    `_IM2COL_BYTES`, else the uncopied kd×kh×kw×rows×span view.
-    """
+    """Uncopied kd×kh×kw×rows×span column windows of a flat padded map `src`:
+    tap (i, j, k) is `src[:, s:s + span]` with s = offset + i·plane + j·row + k."""
     rs, cs = src.strides
-    view = np.lib.stride_tricks.as_strided(
+    return np.lib.stride_tricks.as_strided(
         src[:, offset:],
         shape=(*kshape, src.shape[0], span),
         strides=(plane * cs, row * cs, cs, rs, cs),
         writeable=False,
     )
-    if view.nbytes <= _IM2COL_BYTES:
-        return view.reshape(-1, span)
-    return view
 
 
 def _correlate(k, taps):
     """Sum over taps t of `k[:, :, t] @ taps[t]`: an O × span float64 array."""
-    o = k.shape[0]
-    if taps.ndim == 2:
-        return k.transpose(0, 2, 3, 4, 1).reshape(o, -1) @ taps
+    o, span = k.shape[0], taps.shape[-1]
+    out = np.zeros((o, span))
+    if taps.shape[3] <= _TILE_CHANNELS:
+        kmat = k.transpose(0, 2, 3, 4, 1).reshape(o, -1)
+        cols = max(1, _TILE_BYTES // kmat[0].nbytes)
+        for a in range(0, span, cols):
+            tile = taps[..., a : a + cols].reshape(kmat.shape[1], -1)
+            np.matmul(kmat, tile, out=out[:, a : a + cols])
+        return out
     ktaps = np.ascontiguousarray(k.transpose(2, 3, 4, 0, 1))
-    out = np.zeros((o, taps.shape[-1]))
     for t in np.ndindex(*ktaps.shape[:3]):
         out += ktaps[t] @ taps[t]
     return out
@@ -427,9 +425,9 @@ def _correlate(k, taps):
 
 def _kernel_grad(g, taps, kshape):
     """`g @ taps[t].T` for every tap t, as an O × C × kd × kh × kw array."""
-    o = g.shape[0]
-    if taps.ndim == 2:
-        return (g @ taps.T).reshape(o, *kshape, -1).transpose(0, 4, 1, 2, 3)
+    o, span = g.shape
+    if taps.shape[3] <= _TILE_CHANNELS and taps.nbytes <= _TILE_BYTES:  # one tile: one GEMM
+        return (g @ taps.reshape(-1, span).T).reshape(o, *kshape, -1).transpose(0, 4, 1, 2, 3)
     gk = np.empty((*kshape, o, taps.shape[3]))
     for t in np.ndindex(*kshape):
         gk[t] = g @ taps[t].T
@@ -462,10 +460,10 @@ def conv3d(x, kernel, bias, stride=1, padding=0):
     - input gradient: the forward contraction with the kernel flipped and
       transposed, over g after `shift_max` leading zeros
 
-    Shape alone picks how the taps are contracted: one GEMM on a copied
-    im2col matrix when it is small (per-call cost dominates), else a loop
-    of GEMMs over uncopied slices (the copy would dominate). Contractions
-    run in float64 and are cast back to float32.
+    Few channels per tap are contracted as L2-sized im2col tiles, one GEMM
+    per tile (Chellapilla et al. 2006); many as a loop over uncopied slices.
+    The kernel gradient contracts over the long span and loops unless its
+    im2col is one tile. Contractions run in float64, cast back to float32.
     """
     sd, sh, sw = _triple(stride)
     pd, ph, pw = _triple(padding)
@@ -567,8 +565,13 @@ def nearest_upsample(x, factor=2):
     out = np.repeat(np.repeat(np.repeat(x.data, f, axis=1), f, axis=2), f, axis=3)
 
     def backward(g):
-        gx = g.astype(np.float64).reshape(c, d, f, h, f, w, f).sum(axis=(2, 4, 6))
-        return (gx,)
+        # fold the f copies along D, then H, then W with f - 1 adds each;
+        # the D and H folds add contiguous runs, not a strided reduction
+        gx = g.astype(np.float64)
+        for run in (h * f * w * f, w * f, 1):
+            copies = gx.reshape(-1, f, run)
+            gx = sum((copies[:, i] for i in range(1, f)), copies[:, 0])
+        return (gx.reshape(c, d, h, w),)
 
     return _make(out, [x], backward)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass, field
+from math import isfinite
 
 import numpy as np
 
@@ -41,10 +42,22 @@ class TrainConfig:
     checkpoint_interval: int = 100  # 0 = final checkpoint only
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        # out of these ranges Adam or clipping silently wrecks the run (NaN
+        # parameters for beta1 = 1, gradient ascent for a negative clip norm)
+        positive = lambda v: isfinite(v) and v > 0
+        ranges = {
+            "learning_rate": ("finite and > 0", positive(self.learning_rate)),
+            "beta1": ("in [0, 1)", 0 <= self.beta1 < 1),
+            "beta2": ("in [0, 1)", 0 <= self.beta2 < 1),
+            "adam_eps": ("finite and > 0", positive(self.adam_eps)),
+            "grad_clip_norm": ("null or finite and > 0",
+                               self.grad_clip_norm is None or positive(self.grad_clip_norm)),
+            "steps": (">= 1", self.steps >= 1),
+            "checkpoint_interval": (">= 0", self.checkpoint_interval >= 0),
+        }
+        for name, (rule, ok) in ranges.items():
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         self.patch_extents = tuple(int(e) for e in self.patch_extents)
 
     def model_config(self):
@@ -58,7 +71,9 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, d):
         d = dict(d)
-        if "weights" in d and isinstance(d["weights"], dict):
+        if "weights" in d:
+            if not isinstance(d["weights"], dict):
+                raise ValueError(f"weights must be an object, got {d['weights']!r}")
             d["weights"] = LossWeights(**d["weights"])
         unknown = set(d) - set(cls.__dataclass_fields__)
         if unknown:

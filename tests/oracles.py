@@ -133,3 +133,21 @@ def oracle_conv3d(x, kernel, bias, g, stride, padding):
                                     gx[c][zi][yi][xi] += kv * gv
                         gk[o][c][i][j][k] = acc
     return out, gx, gk, gb
+
+
+def oracle_upsample_grad(g, factor):
+    """Gradient of nearest upsampling by `factor` for an upstream gradient `g`.
+
+    `g` is C×(f·D)×(f·H)×(f·W); every C×D×H×W entry is the float64 sum of
+    its f³ copies. Returns nested lists.
+    """
+    gs, f = g.tolist(), factor
+    c, d, h, w = len(gs), len(gs[0]) // f, len(gs[0][0]) // f, len(gs[0][0][0]) // f
+    out = _zeros(c, d, h, w)
+    for ch in range(c):
+        for z, y, x in _indices((d, h, w)):
+            acc = 0.0
+            for i, j, k in _indices((f, f, f)):
+                acc += gs[ch][z * f + i][y * f + j][x * f + k]
+            out[ch][z][y][x] = acc
+    return out

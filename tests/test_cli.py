@@ -97,6 +97,30 @@ class TestTrain:
         assert main(["train", "--config", str(cfg_path), "--data-dir", str(data_dir),
                      "--out-dir", str(tmp_path / "o")]) == 2
 
+    # beta1 = 1 trained to all-NaN parameters and a negative clip norm ascended
+    @pytest.mark.parametrize("setting", [
+        {"beta1": 1.0}, {"beta1": -0.1}, {"beta2": 1.0}, {"adam_eps": 0.0},
+        {"learning_rate": float("inf")}, {"learning_rate": float("nan")},
+        {"grad_clip_norm": -1}, {"grad_clip_norm": 0}, {"checkpoint_interval": -1},
+    ])
+    def test_bad_optimiser_setting_exit_2(self, data_dir, tmp_path, capsys, setting):
+        config = dict(setting, variant="UNET_PRE", depth=2, base_channels=2, steps=1)
+        self._assert_config_exit_2(data_dir, tmp_path, capsys, json.dumps(config))
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", '{"weights": 5}', '{"weights": [1]}'])
+    def test_config_json_of_wrong_shape_exit_2(self, data_dir, tmp_path, capsys, text):
+        self._assert_config_exit_2(data_dir, tmp_path, capsys, text)
+
+    @staticmethod
+    def _assert_config_exit_2(data_dir, tmp_path, capsys, text):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(text)
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg_path), "--data-dir", str(data_dir),
+                     "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not (tmp_path / "o" / "checkpoint.bin").exists()
+
 
 class TestEval:
     def test_self_check_perfect_report(self, data_dir, tmp_path):
@@ -233,6 +257,25 @@ class TestCorruptCheckpoint:
                      "--data-dir", str(data_dir)] + out) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:")
+        assert "Traceback" not in err
+
+
+class TestNonFiniteVolume:
+    @pytest.mark.parametrize("command", ["eval", "infer"])
+    def test_exit_1_with_error_line(self, data_dir, trained_run, tmp_path, capsys, command):
+        cases = tmp_path / "cases"
+        cases.mkdir()
+        for f in data_dir.glob("*.mmts"):
+            (cases / f.name).write_bytes(f.read_bytes())
+        img = sorted(cases.glob("*_img.mmts"))[0]
+        img.write_bytes(img.read_bytes()[:-4] + np.float32(np.nan).tobytes())
+        out = ["--report", str(tmp_path / "r.json")] if command == "eval" else \
+            ["--out-dir", str(tmp_path / "pred")]
+        capsys.readouterr()
+        assert main([command, "--checkpoint", str(trained_run / "checkpoint"),
+                     "--data-dir", str(cases)] + out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and img.name in err
         assert "Traceback" not in err
 
 

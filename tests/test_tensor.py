@@ -20,7 +20,7 @@ from mmtseg.tensor import (
     tensor_sum,
 )
 
-from oracles import oracle_conv3d
+from oracles import oracle_conv3d, oracle_upsample_grad
 
 FD_TOL = 1e-3
 
@@ -98,8 +98,8 @@ class TestConv3d:
         )
         assert err < FD_TOL
 
-    # (input, kernel, stride, padding); the last shape's forward im2col
-    # (27 taps × 2 channels × 6290 columns × 8 bytes) exceeds the default cap
+    # (input, kernel, stride, padding). At the default constants the 1-channel
+    # 24³ conv runs several im2col tiles and the 20-channel one the tap loop.
     ORACLE_CASES = [
         ((2, 3, 3, 3), (2, 2, 3, 3, 3), 1, 1),
         ((1, 6, 6, 6), (2, 1, 3, 3, 3), 2, 1),
@@ -107,6 +107,17 @@ class TestConv3d:
         ((3, 5, 7, 6), (2, 3, 3, 2, 1), (2, 1, 3), (1, 0, 2)),
         ((2, 7, 9, 8), (3, 2, 3, 3, 3), 3, 0),
         ((2, 16, 16, 20), (1, 2, 3, 3, 3), 1, 1),
+        ((1, 24, 24, 24), (2, 1, 3, 3, 3), 1, 1),
+        ((20, 4, 5, 3), (20, 20, 3, 3, 3), 1, 1),
+    ]
+
+    # (channels per tap, tile bytes): the defaults, every contraction a tap
+    # loop, every one tiled in several tiles, every one a single tile
+    CONTRACTIONS = [
+        (mmtseg.tensor._TILE_CHANNELS, mmtseg.tensor._TILE_BYTES),
+        (0, mmtseg.tensor._TILE_BYTES),
+        (1 << 30, 4096),
+        (1 << 30, 1 << 62),
     ]
 
     @pytest.mark.parametrize("xshape,kshape,stride,padding", ORACLE_CASES)
@@ -116,11 +127,10 @@ class TestConv3d:
         k = rng.uniform(-1, 1, kshape).astype(np.float32)
         b = rng.uniform(-1, 1, kshape[0]).astype(np.float32)
         triple = lambda v: (v, v, v) if isinstance(v, int) else v
-        default_cap = mmtseg.tensor._IM2COL_BYTES
         g = ref = None
-        # default cap, every contraction a tap loop, every one a single im2col GEMM
-        for cap in (default_cap, 0, 1 << 62):
-            monkeypatch.setattr(mmtseg.tensor, "_IM2COL_BYTES", cap)
+        for channels, tile_bytes in self.CONTRACTIONS:
+            monkeypatch.setattr(mmtseg.tensor, "_TILE_CHANNELS", channels)
+            monkeypatch.setattr(mmtseg.tensor, "_TILE_BYTES", tile_bytes)
             xt, kt, bt = (Tensor(a, requires_grad=True) for a in (x, k, b))
             out = conv3d(xt, kt, bt, stride=stride, padding=padding)
             if ref is None:
@@ -273,6 +283,14 @@ class TestPoolingAndShape:
             lambda t: weighted_sum(nearest_upsample(t), np.random.default_rng(12)), x
         )
         assert err < FD_TOL
+
+    @pytest.mark.parametrize("factor", [2, 3])
+    def test_upsample_grad_equals_oracle_exactly(self, rng, factor):
+        out = nearest_upsample(rand_tensor(rng, (2, 3, 2, 4)), factor)
+        g = rng.uniform(-1, 1, out.data.shape).astype(np.float32)
+        (gx,) = out._backward(g)
+        assert gx.shape == (2, 3, 2, 4)
+        assert np.array_equal(gx, np.asarray(oracle_upsample_grad(g, factor)))
 
     def test_pool_of_upsample_is_identity(self, rng):
         x = rand_tensor(rng, (2, 2, 2, 2), requires_grad=False)
