@@ -140,6 +140,8 @@ def _load_cases(data_dir):
 
 def cmd_generate(args):
     extents = _parse_extents(args.extents)
+    if args.count < 1:
+        raise UsageError(f"--count must be at least 1, got {args.count}")
     os.makedirs(args.out_dir, exist_ok=True)
     for i in range(args.count):
         try:

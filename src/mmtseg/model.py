@@ -17,6 +17,7 @@ nearest-neighbor followed by convolution.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -343,22 +344,34 @@ def load_blob(path):
         and isinstance(manifest.get("entries"), list)
         and all(
             isinstance(e, dict) and {"name", "shape", "offset"} <= set(e)
+            and isinstance(e["name"], str)
             for e in manifest["entries"]
         )
     ):
         raise ValueError(
             f"checkpoint manifest {path}.json needs 'meta' and 'entries' "
-            "with name/shape/offset per entry"
+            "with a string name, shape and offset per entry"
         )
-    blob = np.fromfile(path + ".bin", dtype="<f4")
+    # entries tile the blob from byte 0 in manifest order, as save_blob writes them;
+    # `type(...) is int` keeps JSON floats and booleans out
+    blob = np.fromfile(path + ".bin", dtype=np.uint8)
     named = {}
+    end = 0
     for entry in manifest["entries"]:
-        shape = tuple(entry["shape"])
-        start = entry["offset"] // 4
-        count = int(np.prod(shape)) if shape else 1
-        if start + count > blob.size:
+        shape, offset = entry["shape"], entry["offset"]
+        if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+            raise ValueError(f"checkpoint entry {entry['name']!r}: shape {shape!r} is not "
+                             "a list of non-negative integers")
+        if type(offset) is not int or offset != end:
+            raise ValueError(f"checkpoint entry {entry['name']!r}: offset {offset!r}, "
+                             f"expected {end} (entries must be contiguous from 0)")
+        end += 4 * math.prod(shape)
+        if end > blob.size:
             raise ValueError(f"checkpoint blob truncated at entry {entry['name']!r}")
-        named[entry["name"]] = blob[start : start + count].reshape(shape).copy()
+        named[entry["name"]] = blob[offset:end].view("<f4").reshape(shape).copy()
+    if end != blob.size:
+        raise ValueError(f"checkpoint blob {path}.bin holds {blob.size} bytes, "
+                         f"its entries {end}")
     return named, manifest["meta"]
 
 

@@ -9,10 +9,11 @@ Values are stored as float32. Reductions and convolution contractions
 accumulate in float64 before casting back, and every op's summation order
 is fixed by its operand shapes, so repeated runs are bitwise identical.
 
-Convolution runs on a flat padded layout in which each kernel tap is a
-fixed column shift, so its forward pass and both gradients are sums of
-GEMMs on contiguous column slices; the channels per tap alone pick whether
-the taps are copied into fixed-size im2col tiles or looped (see `conv3d`).
+Convolution runs on a flat layout with one zero gutter after every row and
+plane, shared by both sides, in which each kernel tap is a fixed column
+shift, so its forward pass and both gradients are sums of GEMMs on
+contiguous column slices; the channels per tap alone pick whether the taps
+are copied into fixed-size im2col tiles or looped (see `conv3d`).
 """
 
 from __future__ import annotations
@@ -449,14 +450,17 @@ def conv3d(x, kernel, bias, stride=1, padding=0):
     """3D cross-correlation of a C×D×H×W map with an O×C×kd×kh×kw kernel.
 
     Differentiable w.r.t. input, kernel and bias; the input gradient is
-    computed only when `x.requires_grad`. The padded input is flattened to
-    C × Dp·Hp·Wp, where kernel tap (i, j, k) is a fixed column shift
-    i·Hp·Wp + j·Wp + k, so every pass is a sum over taps of one GEMM on
-    a contiguous column slice (kn2row, Vasudevan et al. 2017):
+    computed only when `x.requires_grad`. The input is flattened with row
+    stride R = W + pw and plane stride P = (H + ph)·R after pd·P + ph·R + pw
+    leading zeros: the pw zeros after a row also pad the left of the next
+    row, and the ph zero rows after a plane the top of the next plane. Voxel
+    (z, y, x) sits at that lead plus z·P + y·R + x, and kernel tap (i, j, k)
+    is the column shift i·P + j·R + k, so every pass is a sum over taps of
+    one GEMM on a contiguous column slice (kn2row, Vasudevan et al. 2017):
 
     - forward: K_t @ xp[:, shift_t:shift_t + span]
     - kernel gradient: g @ xp[:, shift_t:shift_t + span].T, with g laid
-      on the padded grid and zero where no output voxel sits
+      on the same grid and zero where no output voxel sits
     - input gradient: the forward contraction with the kernel flipped and
       transposed, over g after `shift_max` leading zeros
 
@@ -491,12 +495,12 @@ def conv3d(x, kernel, bias, stride=1, padding=0):
             f"kernel {(kd, kh, kw)}, stride {(sd, sh, sw)}, padding {(pd, ph, pw)}"
         )
 
-    xp = np.pad(
-        x.data.astype(np.float64),
-        ((0, 0), (pd, pd), (ph, ph), (pw, pw)),
-    )
-    plane, row = xp.shape[2] * xp.shape[3], xp.shape[3]
-    xp = xp.reshape(ci, -1)
+    # the last tap of the last output reads the final element of the d + pd planes
+    row = w + pw
+    plane = (h + ph) * row
+    start = pd * plane + ph * row + pw
+    xp = np.zeros((ci, start + (d + pd) * plane))
+    _grid(xp[:, start:], (d, h, w), (1, 1, 1), plane, row)[...] = x.data
     kshape = (kd, kh, kw)
     span = (do - 1) * sd * plane + (ho - 1) * sh * row + (wo - 1) * sw + 1
     shift_max = (kd - 1) * plane + (kh - 1) * row + kw - 1
@@ -518,7 +522,6 @@ def conv3d(x, kernel, bias, stride=1, padding=0):
         gx = None
         if x.requires_grad:
             flipped = k64.transpose(1, 0, 2, 3, 4)[:, :, ::-1, ::-1, ::-1]
-            start = pd * plane + ph * row + pw
             span_x = (d - 1) * plane + (h - 1) * row + w
             g_taps = _taps(gp, start, span_x, kshape, plane, row)
             gx = _grid(_correlate(flipped, g_taps), (d, h, w), (1, 1, 1), plane, row)

@@ -50,6 +50,14 @@ class TestGenerate:
         assert main(["generate", "--seed", "0", "--extents", "8", "--count", "1",
                      "--out-dir", str(tmp_path / "x")]) == 2
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_count_below_1_exit_2(self, tmp_path, capsys, count):
+        out = tmp_path / "x"
+        assert main(["generate", "--extents", "16", "--count", count,
+                     "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
+
     def test_bad_extents_string_exit_2(self, tmp_path):
         assert main(["generate", "--extents", "16,banana", "--out-dir",
                      str(tmp_path / "x")]) == 2
@@ -240,16 +248,45 @@ def _drop_moments(m):
     m["entries"] = [e for e in m["entries"] if not e["name"].startswith("adam.")]
 
 
+def _list_name(m):
+    m["entries"][0]["name"] = [m["entries"][0]["name"]]
+
+
+# geometry corruptors return the name of the entry the error must name
+def _shifted_offset(m):
+    m["entries"][1]["offset"] += 2
+    return m["entries"][1]["name"]
+
+
+def _overlapping_offset(m):
+    m["entries"][1]["offset"] = m["entries"][0]["offset"]
+    return m["entries"][1]["name"]
+
+
+def _float_offset(m):
+    m["entries"][1]["offset"] = float(m["entries"][1]["offset"])
+    return m["entries"][1]["name"]
+
+
+def _str_shape(m):
+    m["entries"][0]["shape"] = "abc"
+    return m["entries"][0]["name"]
+
+
+def _negative_dim(m):
+    m["entries"][0]["shape"] = [-1] + m["entries"][0]["shape"]
+    return m["entries"][0]["name"]
+
+
+def _swapped_entries(m):
+    m["entries"][0], m["entries"][1] = m["entries"][1], m["entries"][0]
+    return m["entries"][0]["name"]
+
+
 class TestCorruptCheckpoint:
-    @pytest.mark.parametrize("command", ["eval", "infer"])
-    @pytest.mark.parametrize("corrupt", [_drop_meta, _drop_variant, _drop_entries, _drop_shape,
-                                         _str_depth, _int_extents, _int_variant, _drop_moments])
-    def test_exit_1_with_error_line(self, data_dir, trained_run, tmp_path, capsys, command,
-                                    corrupt):
-        manifest = json.loads((trained_run / "checkpoint.json").read_text())
-        corrupt(manifest)
+    def _assert_exit_1(self, data_dir, tmp_path, capsys, command, manifest, blob, name=None):
         (tmp_path / "ck.json").write_text(json.dumps(manifest))
-        (tmp_path / "ck.bin").write_bytes((trained_run / "checkpoint.bin").read_bytes())
+        (tmp_path / "ck.bin").write_bytes(blob)
         out = ["--report", str(tmp_path / "r.json")] if command == "eval" else \
             ["--out-dir", str(tmp_path / "pred")]
         capsys.readouterr()
@@ -258,6 +295,31 @@ class TestCorruptCheckpoint:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "Traceback" not in err
+        assert name is None or repr(name) in err
+
+    @pytest.mark.parametrize("command", ["eval", "infer"])
+    @pytest.mark.parametrize("corrupt", [_drop_meta, _drop_variant, _drop_entries, _drop_shape,
+                                         _str_depth, _int_extents, _int_variant, _drop_moments,
+                                         _list_name,
+                                         _shifted_offset, _overlapping_offset, _float_offset,
+                                         _str_shape, _negative_dim, _swapped_entries])
+    def test_exit_1_with_error_line(self, data_dir, trained_run, tmp_path, capsys, command,
+                                    corrupt):
+        manifest = json.loads((trained_run / "checkpoint.json").read_text())
+        name = corrupt(manifest)
+        self._assert_exit_1(data_dir, tmp_path, capsys, command, manifest,
+                            (trained_run / "checkpoint.bin").read_bytes(), name)
+
+    @pytest.mark.parametrize("command", ["eval", "infer"])
+    @pytest.mark.parametrize("edit", ["prepend", "append", "truncate"])
+    def test_blob_size_must_match_entries(self, data_dir, trained_run, tmp_path, capsys,
+                                          command, edit):
+        manifest = json.loads((trained_run / "checkpoint.json").read_text())
+        blob = (trained_run / "checkpoint.bin").read_bytes()
+        blob = {"prepend": bytes(100) + blob, "append": blob + bytes(4),
+                "truncate": blob[:-4]}[edit]
+        last = manifest["entries"][-1]["name"] if edit == "truncate" else None
+        self._assert_exit_1(data_dir, tmp_path, capsys, command, manifest, blob, last)
 
 
 class TestNonFiniteVolume:

@@ -109,6 +109,13 @@ class TestConv3d:
         ((2, 16, 16, 20), (1, 2, 3, 3, 3), 1, 1),
         ((1, 24, 24, 24), (2, 1, 3, 3, 3), 1, 1),
         ((20, 4, 5, 3), (20, 20, 3, 3, 3), 1, 1),
+        # padding reaching into the row and plane gutters of the flat layout
+        ((2, 4, 5, 3), (3, 2, 1, 1, 1), 1, 2),
+        ((2, 4, 5, 6), (2, 2, 3, 3, 3), 1, 2),
+        ((1, 1, 1, 6), (2, 1, 3, 3, 3), 1, 1),
+        ((2, 6, 1, 1), (3, 2, 3, 3, 3), 1, 1),
+        ((2, 5, 4, 6), (2, 2, 3, 3, 3), 1, (2, 1, 0)),
+        ((2, 5, 6, 7), (2, 2, 2, 2, 2), 2, 3),
     ]
 
     # (channels per tap, tile bytes): the defaults, every contraction a tap
