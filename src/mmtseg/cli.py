@@ -13,13 +13,13 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
 from .gradcheck import run_suite
-from .losses import LossWeights
-from .metrics import REGIONS, aggregate_reports, evaluate_volume
+from .metrics import aggregate_reports, evaluate_volume
 from .model import VARIANTS
 from .phantom import (
     GenerationError,
@@ -36,6 +36,8 @@ from .trainer import TrainConfig, TrainingError, load_checkpoint, train
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
+
+TABLE_COLUMNS = ("dice_et", "dice_tc", "dice_wt", "hd95_et", "hd95_tc", "hd95_wt")
 
 COMPARE_METHODS = (
     ("MMTSN", "MMTSN", None),
@@ -246,19 +248,14 @@ def cmd_gradcheck(args):
     return EXIT_OK if not failed else EXIT_RUNTIME
 
 
-def _mean_or_nan(values):
-    defined = [v for v in values if v is not None]
-    return float(np.mean(defined)) if defined else float("nan")
-
-
 def _format_table(rows, seed):
-    cols = ["dice_et", "dice_tc", "dice_wt", "hd95_et", "hd95_tc", "hd95_wt"]
     heads = ["Dice ET", "Dice TC", "Dice WT", "HD95 ET", "HD95 TC", "HD95 WT"]
     lines = ["Phantom benchmark (desk scale; not comparable to any clinical result)"]
     lines.append(f"{'Method':<16}" + "".join(f"{h:>10}" for h in heads))
     for name, values in rows:
         cells = "".join(
-            f"{'n/a':>10}" if np.isnan(values[c]) else f"{values[c]:>10.4f}" for c in cols
+            f"{'n/a':>10}" if np.isnan(values[c]) else f"{values[c]:>10.4f}"
+            for c in TABLE_COLUMNS
         )
         lines.append(f"{name:<16}" + cells)
     lines.append(f"shared seed: {seed}")
@@ -275,15 +272,8 @@ def cmd_compare(args):
     for method, variant, lambda_sc in COMPARE_METHODS:
         weights = base.weights
         if lambda_sc is not None:
-            weights = LossWeights(
-                lambda_wt=weights.lambda_wt,
-                lambda_tc=weights.lambda_tc,
-                lambda_et=weights.lambda_et,
-                lambda_sc=lambda_sc,
-            )
-        config = TrainConfig.from_dict(
-            dict(base.to_dict(), variant=variant, weights=vars(weights))
-        )
+            weights = replace(weights, lambda_sc=lambda_sc)
+        config = replace(base, variant=variant, weights=weights)
         run_dir = os.path.join(args.out_dir, method.lower().replace(" ", "_"))
         result = train(config, cases, run_dir)
         graph, _, _ = load_checkpoint(result.checkpoint_path)
@@ -291,26 +281,20 @@ def cmd_compare(args):
             g, config.patch_extents, volume
         )
         results = _evaluate_cases(named_cases, predict)
-        _write_json(
-            os.path.join(run_dir, "report.json"),
-            _report_payload("compare", config.to_dict(), config.seed, results),
-        )
-        reports = [r for _, r in results]
-        values = {}
-        for region in REGIONS:
-            values[f"dice_{region}"] = _mean_or_nan([r.dice[region] for r in reports])
-            values[f"hd95_{region}"] = _mean_or_nan([r.hd95[region] for r in reports])
+        payload = _report_payload("compare", config.to_dict(), config.seed, results)
+        _write_json(os.path.join(run_dir, "report.json"), payload)
+        means = {c: payload["aggregates"][c]["mean"] for c in TABLE_COLUMNS}
+        values = {c: float("nan") if m is None else m for c, m in means.items()}
         table_rows.append((method, values))
-        print(f"{method}: trained {result.steps_run} steps, evaluated {len(reports)} cases")
+        print(f"{method}: trained {result.steps_run} steps, evaluated {len(results)} cases")
 
     table = _format_table(table_rows, base.seed)
     with open(os.path.join(args.out_dir, "table.txt"), "w", encoding="ascii") as fh:
         fh.write(table)
-    cols = ["dice_et", "dice_tc", "dice_wt", "hd95_et", "hd95_tc", "hd95_wt"]
     with open(os.path.join(args.out_dir, "table.csv"), "w", encoding="ascii") as fh:
-        fh.write("method," + ",".join(cols) + "\n")
+        fh.write("method," + ",".join(TABLE_COLUMNS) + "\n")
         for name, values in table_rows:
-            fh.write(name + "," + ",".join(repr(values[c]) for c in cols) + "\n")
+            fh.write(name + "," + ",".join(repr(values[c]) for c in TABLE_COLUMNS) + "\n")
     manifest = _run_manifest("compare", base.to_dict(), base.seed)
     _write_json(os.path.join(args.out_dir, "run_manifest.json"), manifest)
     print(table, end="")
@@ -356,7 +340,6 @@ def build_parser():
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data-dir", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_infer)
 
     p = sub.add_parser("gradcheck", help="finite-difference verification suite")

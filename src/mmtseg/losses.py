@@ -22,7 +22,9 @@ EPSILON = 1e-5
 
 TUMOR_CLASSES = (1, 2, 3)
 
-LOSS_CSV_HEADER = "step,loss_bt,loss_wt,loss_tc,loss_et,loss_sc,total"
+# loss-log columns after the step, in order; `total_loss` reports each of them
+LOSS_COLUMNS = ("loss_bt", "loss_wt", "loss_tc", "loss_et", "loss_sc", "total")
+LOSS_CSV_HEADER = ",".join(("step",) + LOSS_COLUMNS)
 
 
 @dataclass
@@ -104,8 +106,8 @@ def total_loss(outputs, labels, regions, weights: LossWeights):
     """
     loss_bt = multiclass_dice_loss(outputs.main_probs, labels)
     total = loss_bt
-    components = {"loss_bt": loss_bt.item(), "loss_wt": 0.0, "loss_tc": 0.0,
-                  "loss_et": 0.0, "loss_sc": 0.0}
+    components = dict.fromkeys(LOSS_COLUMNS, 0.0)
+    components["loss_bt"] = loss_bt.item()
 
     if outputs.wt_prob is not None:
         branch_losses = {

@@ -172,42 +172,34 @@ def evaluate_volume(pred_labels: LabelVolume, gt_labels: LabelVolume) -> RegionR
     return report
 
 
+def _summary(values):
+    """Mean, median and quartiles of the values that are not None, plus
+    how many are None; the statistics are None when no value is defined."""
+    defined = [v for v in values if v is not None]
+    row = dict.fromkeys(("mean", "median", "q25", "q75"))
+    if defined:
+        arr = np.asarray(defined, dtype=np.float64)
+        row = {
+            "mean": float(arr.mean()),
+            "median": float(np.percentile(arr, 50)),
+            "q25": float(np.percentile(arr, 25)),
+            "q75": float(np.percentile(arr, 75)),
+        }
+    row["undefined"] = len(values) - len(defined)
+    return row
+
+
 def aggregate_reports(reports):
     """Mean / median / 25 and 75 quantile rows over per-case metrics.
 
     Undefined HD95 entries are excluded from aggregation; the count of
     excluded cases is reported alongside.
     """
-    rows = {}
-    for metric in ("dice", "hd95"):
-        for region in REGIONS:
-            values = [getattr(r, metric)[region] for r in reports]
-            defined = [v for v in values if v is not None]
-            key = f"{metric}_{region}"
-            if not defined:
-                rows[key] = {
-                    "mean": None,
-                    "median": None,
-                    "q25": None,
-                    "q75": None,
-                    "undefined": len(values),
-                }
-                continue
-            arr = np.asarray(defined, dtype=np.float64)
-            rows[key] = {
-                "mean": float(arr.mean()),
-                "median": float(np.percentile(arr, 50)),
-                "q25": float(np.percentile(arr, 25)),
-                "q75": float(np.percentile(arr, 75)),
-                "undefined": len(values) - len(defined),
-            }
+    rows = {
+        f"{metric}_{region}": _summary([getattr(r, metric)[region] for r in reports])
+        for metric in ("dice", "hd95")
+        for region in REGIONS
+    }
     for key in ("containment_violation_wt_tc", "containment_violation_tc_et"):
-        arr = np.asarray([getattr(r, key) for r in reports], dtype=np.float64)
-        rows[key] = {
-            "mean": float(arr.mean()),
-            "median": float(np.percentile(arr, 50)),
-            "q25": float(np.percentile(arr, 25)),
-            "q75": float(np.percentile(arr, 75)),
-            "undefined": 0,
-        }
+        rows[key] = _summary([getattr(r, key) for r in reports])
     return rows

@@ -374,22 +374,3 @@ def load_blob(path):
                          f"its entries {end}")
     return named, manifest["meta"]
 
-
-def load_parameters(graph: ModelGraph, named_arrays):
-    """Copy arrays into the graph, validating names and shapes."""
-    missing = sorted(set(graph.params) - set(named_arrays))
-    extra = sorted(set(named_arrays) - set(graph.params))
-    if missing or extra:
-        raise ValueError(
-            f"checkpoint does not match {graph.variant} graph: "
-            f"missing {missing[:3]}, unexpected {extra[:3]}"
-        )
-    for name, tensor in graph.params.items():
-        arr = named_arrays[name]
-        if tuple(arr.shape) != tensor.data.shape:
-            raise ValueError(
-                f"parameter {name!r}: checkpoint shape {tuple(arr.shape)} "
-                f"!= graph shape {tensor.data.shape}"
-            )
-    for name, tensor in graph.params.items():
-        tensor.data[...] = named_arrays[name]

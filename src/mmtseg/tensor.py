@@ -231,7 +231,7 @@ def _broadcast_kind(target, other):
     return None
 
 
-def _reduce_to(g, shape, kind):
+def _reduce_to(g, kind):
     if kind == "equal":
         return g
     if kind == "channel":
@@ -249,23 +249,17 @@ def add(a, b):
 
 
 def mul_broadcast(a, b):
-    """Elementwise product; broadcasting limited to the attention patterns."""
+    """Elementwise product; `b` is a Python scalar, a tensor of `a`'s shape or
+    one of the attention weights broadcast over it."""
     if not isinstance(b, Tensor):
         s = np.float32(b)
         return _make(a.data * s, [a], lambda g: (g * s,))
-    kind_b = _broadcast_kind(a.data.shape, b.data.shape)
-    if kind_b is not None:
-        out = a.data * b.data
-        def backward(g):
-            return (g * b.data, _reduce_to(g * a.data, b.data.shape, kind_b))
-        return _make(out, [a, b], backward)
-    kind_a = _broadcast_kind(b.data.shape, a.data.shape)
-    if kind_a is not None:
-        out = a.data * b.data
-        def backward(g):
-            return (_reduce_to(g * b.data, a.data.shape, kind_a), g * a.data)
-        return _make(out, [a, b], backward)
-    raise ShapeError(f"mul shapes not broadcastable: {a.data.shape} vs {b.data.shape}")
+    kind = _broadcast_kind(a.data.shape, b.data.shape)
+    if kind is None:
+        raise ShapeError(f"mul shapes not broadcastable: {a.data.shape} vs {b.data.shape}")
+    def backward(g):
+        return (g * b.data, _reduce_to(g * a.data, kind))
+    return _make(a.data * b.data, [a, b], backward)
 
 
 def div(a, b):

@@ -14,8 +14,8 @@ from math import isfinite
 
 import numpy as np
 
-from .losses import LOSS_CSV_HEADER, LossWeights, total_loss
-from .model import ModelConfig, ModelGraph, build_model, load_blob, load_parameters, save_blob
+from .losses import LOSS_COLUMNS, LOSS_CSV_HEADER, LossWeights, total_loss
+from .model import ModelConfig, ModelGraph, build_model, load_blob, save_blob
 from .phantom import LabelVolume, derive_regions
 from .pipeline import augment, build_grid, extract_patches, normalize
 
@@ -137,20 +137,27 @@ def _augment_seed(seed, step):
     return (seed * 1_000_003 + step) % (2**63)
 
 
-def save_checkpoint(path, graph: ModelGraph, state: AdamState, config: TrainConfig):
-    named = {name: t.data for name, t in graph.params.items()}
+# the config fields a checkpoint's meta records; the meta adds the Adam `step`
+META_FIELDS = ("variant", "depth", "base_channels", "patch_extents", "seed")
+
+
+def _checkpoint_entries(graph: ModelGraph, state: AdamState):
+    """Entry name -> the live array a checkpoint saves from and loads into.
+
+    Parameters keep their names; Adam moments are `adam.m.<name>` and
+    `adam.v.<name>`.
+    """
+    entries = {name: t.data for name, t in graph.params.items()}
     for key, moments in (("adam.m", state.m), ("adam.v", state.v)):
-        for name, arr in moments.items():
-            named[f"{key}.{name}"] = arr
-    meta = {
-        "variant": graph.variant,
-        "depth": config.depth,
-        "base_channels": config.base_channels,
-        "patch_extents": list(config.patch_extents),
-        "step": state.step,
-        "seed": config.seed,
-    }
-    save_blob(path, named, meta)
+        entries.update((f"{key}.{name}", arr) for name, arr in moments.items())
+    return entries
+
+
+def save_checkpoint(path, graph: ModelGraph, state: AdamState, config: TrainConfig):
+    fields = config.to_dict()
+    meta = {k: fields[k] for k in META_FIELDS}
+    meta["step"] = state.step
+    save_blob(path, _checkpoint_entries(graph, state), meta)
 
 
 def _is_int(v):
@@ -158,13 +165,13 @@ def _is_int(v):
 
 
 def _check_meta(path, meta):
-    keys = ("variant", "depth", "base_channels", "patch_extents", "step", "seed")
+    keys = META_FIELDS + ("step",)
     missing = [k for k in keys if k not in meta]
     if missing:
         raise ValueError(f"checkpoint {path} meta lacks {missing}")
     # variant needs no type check: build_model rejects anything outside VARIANTS
     extents = meta["patch_extents"]
-    wrong = [k for k in ("depth", "base_channels", "step", "seed") if not _is_int(meta[k])]
+    wrong = [k for k in keys if k not in ("variant", "patch_extents") and not _is_int(meta[k])]
     if not (isinstance(extents, list) and len(extents) == 3 and all(map(_is_int, extents))):
         wrong.append("patch_extents")
     if wrong:
@@ -177,37 +184,36 @@ def _check_meta(path, meta):
 def load_checkpoint(path):
     """Rebuild graph, optimizer state and the config the file was saved with.
 
-    The config carries the manifest meta; every other field is at its default.
+    The saved entries must be exactly the rebuilt graph's parameters and Adam
+    moments, each with its shape. The config carries the manifest meta;
+    every other field is at its default.
     """
     named, meta = load_blob(path)
     _check_meta(path, meta)
-    config = TrainConfig(
-        variant=meta["variant"],
-        depth=meta["depth"],
-        base_channels=meta["base_channels"],
-        patch_extents=tuple(meta["patch_extents"]),
-        seed=meta["seed"],
-    )
+    config = TrainConfig(**{k: meta[k] for k in META_FIELDS})
     graph = build_model(config.variant, config.model_config(), seed=config.seed)
-    params = {k: v for k, v in named.items() if not k.startswith("adam.")}
-    load_parameters(graph, params)
     state = AdamState.init_like(graph.params)
     state.step = meta["step"]
-    for key, moments in (("adam.m", state.m), ("adam.v", state.v)):
-        for name, arr in moments.items():
-            entry = f"{key}.{name}"
-            if entry not in named:
-                raise ValueError(f"checkpoint {path} lacks entry {entry!r}")
-            arr[...] = named[entry]
+    targets = _checkpoint_entries(graph, state)
+    missing = sorted(set(targets) - set(named))
+    extra = sorted(set(named) - set(targets))
+    if missing or extra:
+        raise ValueError(
+            f"checkpoint {path} does not match the {config.variant} graph and Adam state: "
+            f"{len(missing)} missing {missing[:3]}, {len(extra)} unexpected {extra[:3]}"
+        )
+    for name, arr in targets.items():
+        if named[name].shape != arr.shape:
+            raise ValueError(
+                f"checkpoint entry {name!r}: shape {named[name].shape} != {arr.shape}"
+            )
+    for name, arr in targets.items():
+        arr[...] = named[name]
     return graph, state, config
 
 
 def _format_row(step, components):
-    cols = [str(step)] + [
-        repr(float(components[k]))
-        for k in ("loss_bt", "loss_wt", "loss_tc", "loss_et", "loss_sc", "total")
-    ]
-    return ",".join(cols)
+    return ",".join([str(step)] + [repr(float(components[k])) for k in LOSS_COLUMNS])
 
 
 @dataclass
@@ -218,7 +224,7 @@ class TrainResult:
     final_components: dict
 
 
-def train(config: TrainConfig, cases, out_dir, graph=None, resume_from=None) -> TrainResult:
+def train(config: TrainConfig, cases, out_dir, resume_from=None) -> TrainResult:
     """Optimize on a phantom set; returns paths to checkpoint and loss log.
 
     `cases` is a sequence of (MultiModalVolume, LabelVolume). Volumes are
@@ -239,8 +245,10 @@ def train(config: TrainConfig, cases, out_dir, graph=None, resume_from=None) -> 
     if not slots:
         raise TrainingError("no training patches available")
 
-    state = None
-    if resume_from is not None:
+    if resume_from is None:
+        graph = build_model(config.variant, config.model_config(), seed=config.seed)
+        state = AdamState.init_like(graph.params)
+    else:
         graph, state, saved = load_checkpoint(resume_from)
         for key in ("variant", "depth", "base_channels"):
             have, want = getattr(saved, key), getattr(config, key)
@@ -248,10 +256,6 @@ def train(config: TrainConfig, cases, out_dir, graph=None, resume_from=None) -> 
                 raise TrainingError(
                     f"checkpoint {key}={have!r} does not match config {key}={want!r}"
                 )
-    if graph is None:
-        graph = build_model(config.variant, config.model_config(), seed=config.seed)
-    if state is None:
-        state = AdamState.init_like(graph.params)
 
     components = {}
     with open(log_path, "w", encoding="ascii") as log:

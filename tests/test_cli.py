@@ -11,6 +11,7 @@ import pytest
 import mmtseg.cli
 import mmtseg.tensor
 from mmtseg.cli import _predict_labels, main
+from mmtseg.model import load_blob, save_blob
 from mmtseg.phantom import read_labels, read_volume
 from mmtseg.trainer import load_checkpoint
 
@@ -320,6 +321,25 @@ class TestCorruptCheckpoint:
                 "truncate": blob[:-4]}[edit]
         last = manifest["entries"][-1]["name"] if edit == "truncate" else None
         self._assert_exit_1(data_dir, tmp_path, capsys, command, manifest, blob, last)
+
+    @pytest.mark.parametrize("corrupt", ["moment_shape", "unknown_moment", "missing_moment"])
+    def test_entries_must_match_graph_and_adam_state(self, data_dir, trained_run, tmp_path,
+                                                     capsys, corrupt):
+        named, meta = load_blob(trained_run / "checkpoint")
+        bias = next(n for n in sorted(named) if n.startswith("adam.m.") and n.endswith(".bias"))
+        if corrupt == "moment_shape":  # one value would broadcast into the whole moment
+            name = bias
+            named[name] = named[name][:1]
+        elif corrupt == "unknown_moment":
+            name = "adam.bogus.entry"
+            named[name] = np.zeros(1, dtype=np.float32)
+        else:
+            name = "adam.v." + bias[len("adam.m."):]
+            del named[name]
+        save_blob(tmp_path / "bad", named, meta)
+        self._assert_exit_1(data_dir, tmp_path, capsys, "eval",
+                            json.loads((tmp_path / "bad.json").read_text()),
+                            (tmp_path / "bad.bin").read_bytes(), name)
 
 
 class TestNonFiniteVolume:

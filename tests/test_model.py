@@ -12,12 +12,12 @@ from mmtseg.model import (
     ParamStore,
     build_model,
     load_blob,
-    load_parameters,
     save_blob,
 )
 from mmtseg.phantom import LabelVolume, derive_regions, generate_phantom
 from mmtseg.pipeline import normalize
 from mmtseg.tensor import ShapeError, Tensor
+from mmtseg.trainer import AdamState, TrainConfig, load_checkpoint, save_checkpoint
 
 
 def phantom_patch(seed=0, extent=16):
@@ -234,18 +234,25 @@ class TestCheckpointBlobs:
 
     def test_load_validates_shapes(self, tmp_path):
         graph = build_model("UNET_PRE", ModelConfig(depth=2, base_channels=2), seed=0)
-        named = {k: t.data for k, t in graph.params.items()}
-        other = build_model("MMTSN", ModelConfig(depth=2, base_channels=2), seed=0)
+        # a UNET_PRE graph saved under MMTSN meta: the rebuilt graph differs
+        save_checkpoint(tmp_path / "ck", graph, AdamState.init_like(graph.params),
+                        TrainConfig(variant="MMTSN", depth=2, base_channels=2))
         with pytest.raises(ValueError, match="does not match"):
-            load_parameters(other, named)
+            load_checkpoint(tmp_path / "ck")
 
     def test_load_restores_values(self, tmp_path):
-        graph = build_model("UNET_PRE", ModelConfig(depth=2, base_channels=2), seed=0)
-        snapshot = {k: t.data.copy() for k, t in graph.params.items()}
-        save_blob(tmp_path / "ck", snapshot, meta={})
-        for t in graph.params.values():
-            t.data[...] = 0.0
-        named, _ = load_blob(tmp_path / "ck")
-        load_parameters(graph, named)
-        for name in snapshot:
-            assert np.array_equal(graph.params[name].data, snapshot[name])
+        config = TrainConfig(variant="UNET_PRE", depth=2, base_channels=2, seed=0)
+        graph = build_model("UNET_PRE", config.model_config(), seed=1)  # not the rebuild's seed
+        state = AdamState.init_like(graph.params)
+        for i, name in enumerate(graph.params):
+            state.m[name] += i
+            state.v[name] += 2 * i
+        save_checkpoint(tmp_path / "ck", graph, state, config)
+        loaded, loaded_state, _ = load_checkpoint(tmp_path / "ck")
+        fresh = build_model("UNET_PRE", config.model_config(), seed=0)
+        assert any(not np.array_equal(fresh.params[n].data, t.data)
+                   for n, t in graph.params.items())
+        for name, t in graph.params.items():
+            assert np.array_equal(loaded.params[name].data, t.data)
+            assert np.array_equal(loaded_state.m[name], state.m[name])
+            assert np.array_equal(loaded_state.v[name], state.v[name])

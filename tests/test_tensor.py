@@ -231,6 +231,8 @@ class TestMulBroadcast:
             mul_broadcast(a, rand_tensor(rng, (3, 1, 2, 2)))
         with pytest.raises(ShapeError):
             mul_broadcast(a, rand_tensor(rng, (2, 2, 2)))
+        with pytest.raises(ShapeError):  # the weight goes second
+            mul_broadcast(rand_tensor(rng, (3, 1, 1, 1)), a)
 
     def test_grad_both_operands(self, rng):
         a = rand_tensor(rng, (3, 3, 3, 3))

@@ -114,7 +114,8 @@ class TestTrainLoop:
         graph = build_model("UNET_PRE", config.model_config(), seed=config.seed)
         for t in graph.params.values():
             t.data[...] = 0.0
-        result = train(config, cases, tmp_path / "run", graph=graph)
+        save_checkpoint(tmp_path / "zero", graph, AdamState.init_like(graph.params), config)
+        result = train(config, cases, tmp_path / "run", resume_from=tmp_path / "zero")
         row = Path(result.log_path).read_text().strip().splitlines()[1].split(",")
         loss_bt, total = float(row[1]), float(row[6])
 
