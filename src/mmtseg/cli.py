@@ -178,7 +178,7 @@ def _predict_labels(graph, patch_extents, volume):
     norm = normalize(volume)
     grid = build_grid(norm.extents, patch_extents)
     with no_grad():
-        probs = [graph.forward(img).main_probs.data for img, _ in extract_patches(norm, None, grid)]
+        probs = [graph.predict(img).data for img, _ in extract_patches(norm, None, grid)]
     return probs_to_labels(reassemble(probs, grid))
 
 
@@ -205,6 +205,11 @@ def _report_payload(command, config_dict, seed, results):
 
 
 def cmd_eval(args):
+    if args.self_check and args.checkpoint is not None:
+        raise UsageError("--self-check scores ground truth, not --checkpoint; give one of them")
+    if not args.self_check and args.seed is not None:
+        raise UsageError("--seed is only recorded by --self-check; a checkpoint "
+                         "report records the training seed")
     named_cases = _load_cases(args.data_dir)
     if args.self_check:
         predict = lambda volume, labels: labels  # ground truth against itself
@@ -328,7 +333,7 @@ def build_parser():
     p.add_argument("--checkpoint", help="checkpoint path prefix (no extension)")
     p.add_argument("--data-dir", required=True)
     p.add_argument("--report", required=True)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, help="seed a --self-check report records (default 0)")
     p.add_argument(
         "--self-check",
         action="store_true",

@@ -12,6 +12,12 @@ T2/Flair, the tumor-core branch T1/T1c, the enhancing-tumor branch T1c.
 Each branch is a U-shape; the main branch fuses same-scale sub-branch
 encoder features with its own at every encoder scale. Upsampling is
 nearest-neighbor followed by convolution.
+
+The sub-branch decoders and sigmoid heads are training-only supervision:
+they feed the branch Dice and containment losses, and the segmentation
+is the main branch's output. `ModelGraph.forward` computes every output
+for training; `ModelGraph.predict` runs only the encoders, the fusion
+blocks and the main decoder.
 """
 
 from __future__ import annotations
@@ -176,7 +182,7 @@ class Decoder:
 
 
 class UNet:
-    """Single-stream U-shape returning head logits and encoder features."""
+    """Single-stream U-shape: an encoder of per-scale features and a decoder."""
 
     def __init__(self, store, name, in_ch, out_ch, depth, base):
         self.enc = []
@@ -185,7 +191,8 @@ class UNet:
             self.enc.append(ConvBlock(store, f"{name}.enc{i}", c_in, base * 2**i))
         self.decoder = Decoder(store, name, out_ch, depth, base)
 
-    def __call__(self, x):
+    def encode(self, x):
+        """Per-scale encoder features, finest first."""
         feats = []
         h = x
         for i, block in enumerate(self.enc):
@@ -193,7 +200,10 @@ class UNet:
                 h = max_pool3d(h)
             h = block(h)
             feats.append(h)
-        return self.decoder(feats), feats
+        return feats
+
+    def __call__(self, x):
+        return self.decoder(self.encode(x))
 
 
 class FusedNet:
@@ -219,13 +229,17 @@ class FusedNet:
             )
         self.decoder = Decoder(store, "main", NUM_CLASSES, depth, base)
 
-    def __call__(self, patch_np):
-        branch_logits = {}
-        branch_feats = {}
-        for region, mods in BRANCH_MODALITIES.items():
-            x = Tensor(patch_np[[MODALITY_INDEX[m] for m in mods]])
-            branch_logits[region], branch_feats[region] = self.branches[region](x)
+    def encode_branches(self, patch_np):
+        """{region: per-scale sub-branch encoder features} on its modalities."""
+        return {
+            region: self.branches[region].encode(
+                Tensor(patch_np[[MODALITY_INDEX[m] for m in mods]])
+            )
+            for region, mods in BRANCH_MODALITIES.items()
+        }
 
+    def __call__(self, patch_np, branch_feats):
+        """Main-branch logits, fusing `branch_feats` at every encoder scale."""
         fused = []
         h = Tensor(patch_np)
         for i in range(self.depth):
@@ -236,19 +250,33 @@ class FusedNet:
                 [branch_feats["wt"][i], branch_feats["tc"][i], branch_feats["et"][i], own]
             )
             fused.append(h)
-        return self.decoder(fused), branch_logits
+        return self.decoder(fused)
 
 
 class ModelGraph:
     """Named parameter set plus the forward topology for one variant."""
 
-    def __init__(self, variant, config, params, forward_fn):
+    def __init__(self, variant, config, params, predict_fn, forward_fn):
         self.variant = variant
         self.config = config
         self.params = params
+        self._predict = predict_fn
         self._forward = forward_fn
 
     def forward(self, patch) -> ForwardOutputs:
+        """Every output the training losses read."""
+        return self._forward(self._checked(patch))
+
+    def predict(self, patch) -> Tensor:
+        """Main-branch class probabilities, equal to `forward(patch).main_probs`.
+
+        The sub-branch decoders and heads are training-only supervision, so
+        prediction runs the encoders, the fusion blocks and the main decoder,
+        and skips every `branch_*.dec*` and `branch_*.head` convolution.
+        """
+        return self._predict(self._checked(patch))
+
+    def _checked(self, patch):
         patch_np = patch.data if isinstance(patch, Tensor) else np.asarray(patch)
         if patch_np.ndim != 4 or patch_np.shape[0] != len(MODALITY_INDEX):
             raise ShapeError(f"patch must be 4×D×H×W, got {patch_np.shape}")
@@ -259,7 +287,7 @@ class ModelGraph:
                     f"extents {patch_np.shape[1:]} not divisible by {divisor} "
                     f"(depth {self.config.depth})"
                 )
-        return self._forward(patch_np.astype(np.float32, copy=False))
+        return patch_np.astype(np.float32, copy=False)
 
     def zero_grads(self):
         for t in self.params.values():
@@ -279,9 +307,8 @@ def build_model(variant, config: ModelConfig, seed: int) -> ModelGraph:
     if variant == "UNET_PRE":
         net = UNet(store, "unet", len(MODALITY_INDEX), NUM_CLASSES, depth, base)
 
-        def forward(patch_np):
-            logits, _ = net(Tensor(patch_np))
-            return ForwardOutputs(main_probs=softmax_channels(logits))
+        def predict(patch_np):
+            return softmax_channels(net(Tensor(patch_np)))
 
     elif variant == "UNET_POST":
         nets = {
@@ -289,27 +316,37 @@ def build_model(variant, config: ModelConfig, seed: int) -> ModelGraph:
             for m in MODALITY_INDEX
         }
 
-        def forward(patch_np):
+        def predict(patch_np):
             total = None
             for m, idx in MODALITY_INDEX.items():
-                logits, _ = nets[m](Tensor(patch_np[idx : idx + 1]))
+                logits = nets[m](Tensor(patch_np[idx : idx + 1]))
                 total = logits if total is None else add(total, logits)
-            return ForwardOutputs(main_probs=softmax_channels(total))
+            return softmax_channels(total)
 
     else:
         fusion_cls = SCFB if variant == "MMTSN" else ConcatFuse
         net = FusedNet(store, config, fusion_cls)
 
+        def predict(patch_np):
+            return softmax_channels(net(patch_np, net.encode_branches(patch_np)))
+
         def forward(patch_np):
-            logits, branch_logits = net(patch_np)
+            feats = net.encode_branches(patch_np)
+            logits = {region: net.branches[region].decoder(f) for region, f in feats.items()}
             return ForwardOutputs(
-                main_probs=softmax_channels(logits),
-                wt_prob=sigmoid(branch_logits["wt"]),
-                tc_prob=sigmoid(branch_logits["tc"]),
-                et_prob=sigmoid(branch_logits["et"]),
+                main_probs=softmax_channels(net(patch_np, feats)),
+                wt_prob=sigmoid(logits["wt"]),
+                tc_prob=sigmoid(logits["tc"]),
+                et_prob=sigmoid(logits["et"]),
             )
 
-    return ModelGraph(variant, config, store.params, forward)
+        return ModelGraph(variant, config, store.params, predict, forward)
+
+    # the U-shapes have no sub-branch outputs
+    def forward(patch_np):
+        return ForwardOutputs(main_probs=predict(patch_np))
+
+    return ModelGraph(variant, config, store.params, predict, forward)
 
 
 # -- checkpoint blobs ---------------------------------------------------------

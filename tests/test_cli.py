@@ -183,6 +183,20 @@ class TestEval:
                      "--data-dir", str(data_dir),
                      "--report", str(tmp_path / "r.json")]) == 2
 
+    def test_seed_without_self_check_exit_2(self, data_dir, trained_run, tmp_path, capsys):
+        report = tmp_path / "r.json"
+        assert main(["eval", "--checkpoint", str(trained_run / "checkpoint"), "--seed", "5",
+                     "--data-dir", str(data_dir), "--report", str(report)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not report.exists()
+
+    def test_checkpoint_with_self_check_exit_2(self, data_dir, trained_run, tmp_path, capsys):
+        report = tmp_path / "r.json"
+        assert main(["eval", "--checkpoint", str(trained_run / "checkpoint"), "--self-check",
+                     "--data-dir", str(data_dir), "--report", str(report)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert not report.exists()
+
 
 @pytest.fixture(scope="module")
 def trained_run(data_dir, tmp_path_factory):

@@ -1,12 +1,15 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
 
+import mmtseg.model
 from mmtseg.gradcheck import model_check, scfb_checks
 from mmtseg.losses import LossWeights, total_loss
 from mmtseg.model import (
     SCFB,
+    VARIANTS,
     ForwardOutputs,
     ModelConfig,
     ParamStore,
@@ -163,6 +166,71 @@ def expected_param_count(variant, depth, base):
         n += conv(base * 2 ** (i + 1) + base * 2**i, base * 2**i, 3)
     n += conv(base, 4, 1)
     return n
+
+
+class TestPredict:
+    """`predict` is `forward(...).main_probs` without the sub-branch decoders."""
+
+    @staticmethod
+    def perturbed(variant, depth):
+        # non-zero biases, so no path through the graph is trivially zero
+        graph = build_model(variant, ModelConfig(depth=depth, base_channels=4), seed=5)
+        rng = np.random.default_rng(6)
+        for name, t in graph.params.items():
+            if name.endswith(".bias"):
+                t.data[...] = rng.standard_normal(t.data.shape).astype(np.float32) * 0.1
+        return graph
+
+    @staticmethod
+    def conv_modules(graph, fn, patch, monkeypatch):
+        """Module name of the kernel of every conv3d call `fn(patch)` makes."""
+        names = {id(t): n[: -len(".kernel")] for n, t in graph.params.items()}
+        calls = []
+        conv = mmtseg.model.conv3d
+
+        def spy(x, kernel, *args, **kwargs):
+            calls.append(names[id(kernel)])
+            return conv(x, kernel, *args, **kwargs)
+
+        monkeypatch.setattr(mmtseg.model, "conv3d", spy)
+        fn(patch)
+        monkeypatch.setattr(mmtseg.model, "conv3d", conv)
+        return calls
+
+    @pytest.mark.parametrize("depth", [2, 3])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_bitwise_equal_to_forward_main_probs(self, variant, depth):
+        patch, _ = phantom_patch()
+        graph = self.perturbed(variant, depth)
+        predicted = graph.predict(patch)
+        assert predicted.data.shape == (4, 16, 16, 16)
+        assert np.array_equal(predicted.data, graph.forward(patch).main_probs.data)
+
+    def test_skips_sub_branch_decoders_and_heads(self, monkeypatch):
+        patch, _ = phantom_patch()
+        graph = build_model("MMTSN", ModelConfig(), seed=0)
+        predicted = self.conv_modules(graph, graph.predict, patch, monkeypatch)
+        forward = self.conv_modules(graph, graph.forward, patch, monkeypatch)
+        assert len(predicted) == 27
+        assert not [m for m in predicted if re.fullmatch(r"branch_\w+\.(dec\d+|head)", m)]
+        assert len(forward) == 36
+        assert sorted(set(forward) - set(predicted)) == [
+            f"branch_{r}.{m}" for r in ("et", "tc", "wt") for m in ("dec0", "dec1", "head")
+        ]
+
+    @pytest.mark.parametrize("variant", ["UNET_PRE", "UNET_POST"])
+    def test_unets_run_the_same_convs(self, variant, monkeypatch):
+        patch, _ = phantom_patch()
+        graph = build_model(variant, ModelConfig(), seed=0)
+        predicted = self.conv_modules(graph, graph.predict, patch, monkeypatch)
+        assert predicted == self.conv_modules(graph, graph.forward, patch, monkeypatch)
+
+    def test_shape_checks_shared_with_forward(self):
+        graph = build_model("MMTSN", ModelConfig(depth=3, base_channels=2), seed=0)
+        with pytest.raises(ShapeError, match="divisible"):
+            graph.predict(np.zeros((4, 10, 16, 16), dtype=np.float32))
+        with pytest.raises(ShapeError):
+            graph.predict(np.zeros((3, 8, 8, 8), dtype=np.float32))
 
 
 class TestInitialization:
