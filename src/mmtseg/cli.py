@@ -13,14 +13,13 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import __version__
 from .gradcheck import run_suite
 from .metrics import aggregate_reports, evaluate_volume
-from .model import VARIANTS
 from .phantom import (
     GenerationError,
     generate_phantom,
@@ -103,15 +102,6 @@ def _load_config(path, overrides):
         raise UsageError(f"bad config: {exc}") from exc
 
 
-def _normalize_variant(name):
-    if name is None:
-        return None
-    variant = name.upper()
-    if variant not in VARIANTS:
-        raise UsageError(f"unknown variant {name!r}; expected one of {VARIANTS}")
-    return variant
-
-
 def _case_name(seed, index):
     return f"case_{seed}_{index}"
 
@@ -164,7 +154,7 @@ def cmd_generate(args):
 def cmd_train(args):
     config = _load_config(
         args.config,
-        {"variant": _normalize_variant(args.variant), "seed": args.seed, "steps": args.steps},
+        {"variant": args.variant and args.variant.upper(), "seed": args.seed, "steps": args.steps},
     )
     cases = [(vol, lbl) for _, vol, lbl in _load_cases(args.data_dir)]
     result = train(config, cases, args.out_dir)
@@ -199,7 +189,7 @@ def _report_payload(command, config_dict, seed, results):
     reports = [r for _, r in results]
     return {
         "run": _run_manifest(command, config_dict, seed),
-        "cases": {name: r.to_dict() for name, r in results},
+        "cases": {name: asdict(r) for name, r in results},
         "aggregates": aggregate_reports(reports),
     }
 

@@ -159,18 +159,9 @@ def model_check(seed=0, coords_per_tensor=8):
     worst = 0.0
     for name, param in graph.params.items():
         flat = param.data.reshape(-1)
-        n = min(coords_per_tensor, flat.size)
-        coords = rng.choice(flat.size, size=n, replace=False)
-        for idx in coords:
-            orig = flat[idx]
-            flat[idx] = orig + STEP
-            up = loss_value().item()
-            flat[idx] = orig - STEP
-            down = loss_value().item()
-            flat[idx] = orig
-            numeric = (up - down) / (2 * STEP)
-            err = T.max_rel_err(analytic[name].reshape(-1)[idx], numeric)
-            worst = max(worst, err)
+        coords = rng.choice(flat.size, size=min(coords_per_tensor, flat.size), replace=False)
+        numeric = T._central_differences(lambda: loss_value().item(), flat, coords, STEP)
+        worst = max(worst, T.max_rel_err(analytic[name].reshape(-1)[coords], numeric))
     return CheckResult("full-model (tiny MMTSN)", worst, MODEL_TOL)
 
 

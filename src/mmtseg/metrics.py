@@ -144,14 +144,6 @@ class RegionReport:
     containment_violation_wt_tc: float = 0.0
     containment_violation_tc_et: float = 0.0
 
-    def to_dict(self):
-        return {
-            "dice": dict(self.dice),
-            "hd95": dict(self.hd95),
-            "containment_violation_wt_tc": self.containment_violation_wt_tc,
-            "containment_violation_tc_et": self.containment_violation_tc_et,
-        }
-
 
 def evaluate_volume(pred_labels: LabelVolume, gt_labels: LabelVolume) -> RegionReport:
     """Score a predicted label volume against ground truth, per region."""

@@ -256,8 +256,7 @@ class FusedNet:
 class ModelGraph:
     """Named parameter set plus the forward topology for one variant."""
 
-    def __init__(self, variant, config, params, predict_fn, forward_fn):
-        self.variant = variant
+    def __init__(self, config, params, predict_fn, forward_fn):
         self.config = config
         self.params = params
         self._predict = predict_fn
@@ -292,9 +291,6 @@ class ModelGraph:
     def zero_grads(self):
         for t in self.params.values():
             t.zero_grad()
-
-    def param_count(self):
-        return sum(t.size for t in self.params.values())
 
 
 def build_model(variant, config: ModelConfig, seed: int) -> ModelGraph:
@@ -340,13 +336,13 @@ def build_model(variant, config: ModelConfig, seed: int) -> ModelGraph:
                 et_prob=sigmoid(logits["et"]),
             )
 
-        return ModelGraph(variant, config, store.params, predict, forward)
+        return ModelGraph(config, store.params, predict, forward)
 
     # the U-shapes have no sub-branch outputs
     def forward(patch_np):
         return ForwardOutputs(main_probs=predict(patch_np))
 
-    return ModelGraph(variant, config, store.params, predict, forward)
+    return ModelGraph(config, store.params, predict, forward)
 
 
 # -- checkpoint blobs ---------------------------------------------------------

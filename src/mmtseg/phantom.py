@@ -51,7 +51,6 @@ class MultiModalVolume:
     """4-channel image, channel order (T1, T1c, T2, Flair), float32."""
 
     data: np.ndarray  # 4×D×H×W
-    spacing: float = 1.0
 
     def __post_init__(self):
         if self.data.ndim != 4 or self.data.shape[0] != len(MODALITIES):
@@ -71,10 +70,6 @@ class LabelVolume:
     def __post_init__(self):
         if self.data.ndim != 3:
             raise ValueError(f"expected D×H×W labels, got {self.data.shape}")
-
-    @property
-    def extents(self):
-        return self.data.shape
 
 
 @dataclass

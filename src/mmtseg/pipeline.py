@@ -37,7 +37,7 @@ def normalize(volume: MultiModalVolume) -> MultiModalVolume:
         if std == 0.0:
             raise PipelineError(f"channel {ch}: zero variance over head voxels")
         out[ch][head] = ((vals - vals.mean()) / std).astype(np.float32)
-    return MultiModalVolume(data=out, spacing=volume.spacing)
+    return MultiModalVolume(data=out)
 
 
 @dataclass

@@ -12,13 +12,12 @@ is fixed by its operand shapes, so repeated runs are bitwise identical.
 Convolution runs on a flat layout with one zero gutter after every row and
 plane, shared by both sides, in which each kernel tap is a fixed column
 shift, so its forward pass and both gradients are sums of GEMMs on
-contiguous column slices; the channels per tap alone pick whether the taps
-are copied into fixed-size im2col tiles or looped (see `conv3d`).
+contiguous column slices. The kernel gradient is one GEMM per tap; the
+channels per tap alone pick whether the forward pass and the input gradient
+copy their taps into fixed-size im2col tiles or loop over them (see `conv3d`).
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -48,7 +47,7 @@ class ShapeError(ValueError):
     """Raised when operand shapes violate an op contract."""
 
 
-_debug_checks = os.environ.get("MMTS_DEBUG_CHECKS", "") not in ("", "0")
+_debug_checks = False
 
 
 def set_debug_checks(enabled):
@@ -106,10 +105,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def size(self):
-        return self.data.size
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -170,17 +165,11 @@ class Tensor:
     def __neg__(self):
         return mul_broadcast(self, -1.0)
 
-    def __sub__(self, other):
-        return add(self, -other if isinstance(other, Tensor) else -float(other))
-
     def __rsub__(self, other):
         return add(-self, float(other))
 
     def __truediv__(self, other):
         return div(self, other)
-
-    def sum(self):
-        return tensor_sum(self)
 
 
 def _topo_order(root):
@@ -382,9 +371,10 @@ def _triple(v):
     return t
 
 
-# Contractions with at most _TILE_CHANNELS channels per tap copy their taps into
-# im2col tiles of at most _TILE_BYTES, sized to stay in L2; wider ones loop over
-# taps. Constants, not options: the summation order depends on shapes alone.
+# `_correlate` (the forward pass and the input gradient) with at most _TILE_CHANNELS
+# channels per tap copies its taps into im2col tiles of at most _TILE_BYTES, sized
+# to stay in L2; wider ones loop over taps. Constants, not options: the summation
+# order depends on shapes alone.
 _TILE_CHANNELS = 16
 _TILE_BYTES = 512 << 10
 
@@ -420,10 +410,7 @@ def _correlate(k, taps):
 
 def _kernel_grad(g, taps, kshape):
     """`g @ taps[t].T` for every tap t, as an O × C × kd × kh × kw array."""
-    o, span = g.shape
-    if taps.shape[3] <= _TILE_CHANNELS and taps.nbytes <= _TILE_BYTES:  # one tile: one GEMM
-        return (g @ taps.reshape(-1, span).T).reshape(o, *kshape, -1).transpose(0, 4, 1, 2, 3)
-    gk = np.empty((*kshape, o, taps.shape[3]))
+    gk = np.empty((*kshape, g.shape[0], taps.shape[3]))
     for t in np.ndindex(*kshape):
         gk[t] = g @ taps[t].T
     return gk.transpose(3, 4, 0, 1, 2)
@@ -458,10 +445,11 @@ def conv3d(x, kernel, bias, stride=1, padding=0):
     - input gradient: the forward contraction with the kernel flipped and
       transposed, over g after `shift_max` leading zeros
 
-    Few channels per tap are contracted as L2-sized im2col tiles, one GEMM
-    per tile (Chellapilla et al. 2006); many as a loop over uncopied slices.
-    The kernel gradient contracts over the long span and loops unless its
-    im2col is one tile. Contractions run in float64, cast back to float32.
+    In the forward pass and the input gradient, few channels per tap are
+    contracted as L2-sized im2col tiles, one GEMM per tile (Chellapilla et
+    al. 2006); many as a loop over uncopied slices. The kernel gradient
+    contracts over the long span, one GEMM per tap whatever the channel
+    count. Contractions run in float64, cast back to float32.
     """
     sd, sh, sw = _triple(stride)
     pd, ph, pw = _triple(padding)
@@ -589,17 +577,24 @@ def grad_check(f, x, step=1e-3):
     x.requires_grad = needed_grad
     x.zero_grad()
 
-    numeric = np.zeros_like(analytic)
     flat = x.data.reshape(-1)
-    for i in range(flat.size):
+    numeric = _central_differences(lambda: f(x).item(), flat, range(flat.size), step)
+    return max_rel_err(analytic, numeric)
+
+
+def _central_differences(value, flat, coords, step):
+    """(value() at +step − value() at −step) / (2·step) for each coordinate of
+    `flat`, a view that `value` reads; every entry is restored afterwards."""
+    numeric = np.zeros(len(coords))
+    for n, i in enumerate(coords):
         orig = flat[i]
         flat[i] = orig + step
-        up = f(x).item()
+        up = value()
         flat[i] = orig - step
-        down = f(x).item()
+        down = value()
         flat[i] = orig
-        numeric[i] = (up - down) / (2.0 * step)
-    return max_rel_err(analytic, numeric)
+        numeric[n] = (up - down) / (2.0 * step)
+    return numeric
 
 
 def max_rel_err(a, b):

@@ -15,13 +15,17 @@ from math import isfinite
 import numpy as np
 
 from .losses import LOSS_COLUMNS, LOSS_CSV_HEADER, LossWeights, total_loss
-from .model import ModelConfig, ModelGraph, build_model, load_blob, save_blob
+from .model import VARIANTS, ModelConfig, ModelGraph, build_model, load_blob, save_blob
 from .phantom import LabelVolume, derive_regions
 from .pipeline import augment, build_grid, extract_patches, normalize
 
 
 class TrainingError(RuntimeError):
     pass
+
+
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 @dataclass
@@ -42,23 +46,38 @@ class TrainConfig:
     checkpoint_interval: int = 100  # 0 = final checkpoint only
 
     def __post_init__(self):
-        # out of these ranges Adam or clipping silently wrecks the run (NaN
+        # every run setting is checked here, before any data is read; out of
+        # these ranges Adam or clipping silently wrecks the run (NaN
         # parameters for beta1 = 1, gradient ascent for a negative clip norm)
-        positive = lambda v: isfinite(v) and v > 0
+        real = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+        positive = lambda v: real(v) and isfinite(v) and v > 0
+        at_least = lambda v, lo: _is_int(v) and v >= lo
+        divisor = 2 ** (self.depth - 1) if at_least(self.depth, 2) else 1
+        extents = self.patch_extents
         ranges = {
+            "variant": (f"one of {VARIANTS}", self.variant in VARIANTS),
+            "depth": ("an integer >= 2", at_least(self.depth, 2)),
+            "base_channels": ("an integer >= 2", at_least(self.base_channels, 2)),
+            "patch_extents": (
+                f"three positive integers divisible by {divisor} (2^(depth - 1))",
+                isinstance(extents, (list, tuple)) and len(extents) == 3
+                and all(at_least(e, 1) and e % divisor == 0 for e in extents),
+            ),
+            "seed": ("an integer >= 0", at_least(self.seed, 0)),
+            "augment": ("true or false", isinstance(self.augment, bool)),
             "learning_rate": ("finite and > 0", positive(self.learning_rate)),
-            "beta1": ("in [0, 1)", 0 <= self.beta1 < 1),
-            "beta2": ("in [0, 1)", 0 <= self.beta2 < 1),
+            "beta1": ("in [0, 1)", real(self.beta1) and 0 <= self.beta1 < 1),
+            "beta2": ("in [0, 1)", real(self.beta2) and 0 <= self.beta2 < 1),
             "adam_eps": ("finite and > 0", positive(self.adam_eps)),
             "grad_clip_norm": ("null or finite and > 0",
                                self.grad_clip_norm is None or positive(self.grad_clip_norm)),
-            "steps": (">= 1", self.steps >= 1),
-            "checkpoint_interval": (">= 0", self.checkpoint_interval >= 0),
+            "steps": ("an integer >= 1", at_least(self.steps, 1)),
+            "checkpoint_interval": ("an integer >= 0", at_least(self.checkpoint_interval, 0)),
         }
         for name, (rule, ok) in ranges.items():
             if not ok:
                 raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
-        self.patch_extents = tuple(int(e) for e in self.patch_extents)
+        self.patch_extents = tuple(extents)
 
     def model_config(self):
         return ModelConfig(depth=self.depth, base_channels=self.base_channels)
@@ -160,25 +179,13 @@ def save_checkpoint(path, graph: ModelGraph, state: AdamState, config: TrainConf
     save_blob(path, _checkpoint_entries(graph, state), meta)
 
 
-def _is_int(v):
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _check_meta(path, meta):
-    keys = META_FIELDS + ("step",)
-    missing = [k for k in keys if k not in meta]
+    """Key presence and the Adam step; `TrainConfig` checks the other values."""
+    missing = [k for k in META_FIELDS + ("step",) if k not in meta]
     if missing:
         raise ValueError(f"checkpoint {path} meta lacks {missing}")
-    # variant needs no type check: build_model rejects anything outside VARIANTS
-    extents = meta["patch_extents"]
-    wrong = [k for k in keys if k not in ("variant", "patch_extents") and not _is_int(meta[k])]
-    if not (isinstance(extents, list) and len(extents) == 3 and all(map(_is_int, extents))):
-        wrong.append("patch_extents")
-    if wrong:
-        raise ValueError(
-            f"checkpoint {path} meta has wrong-typed {wrong}: "
-            "patch_extents must be a list of three integers, the rest integers"
-        )
+    if not _is_int(meta["step"]):
+        raise ValueError(f"checkpoint {path} meta step must be an integer, got {meta['step']!r}")
 
 
 def load_checkpoint(path):
@@ -190,7 +197,10 @@ def load_checkpoint(path):
     """
     named, meta = load_blob(path)
     _check_meta(path, meta)
-    config = TrainConfig(**{k: meta[k] for k in META_FIELDS})
+    try:
+        config = TrainConfig(**{k: meta[k] for k in META_FIELDS})
+    except ValueError as exc:
+        raise ValueError(f"checkpoint {path} meta: {exc}") from exc
     graph = build_model(config.variant, config.model_config(), seed=config.seed)
     state = AdamState.init_like(graph.params)
     state.step = meta["step"]

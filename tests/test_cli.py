@@ -116,6 +116,17 @@ class TestTrain:
         config = dict(setting, variant="UNET_PRE", depth=2, base_channels=2, steps=1)
         self._assert_config_exit_2(data_dir, tmp_path, capsys, json.dumps(config))
 
+    # each used to end in a traceback, exit 1 after reading the data, or train anyway
+    @pytest.mark.parametrize("setting", [
+        {"depth": "3"}, {"seed": 1.5}, {"variant": "FOO"}, {"variant": "mmtsn"}, {"depth": 1},
+        {"base_channels": 1}, {"seed": -1}, {"patch_extents": [16, 16]},
+        {"depth": 3, "patch_extents": [10, 10, 10]}, {"patch_extents": [16.5, 16, 16]},
+        {"steps": 2.5}, {"checkpoint_interval": 1.5}, {"augment": "no"}, {"learning_rate": True},
+    ])
+    def test_bad_run_setting_exit_2(self, data_dir, tmp_path, capsys, setting):
+        config = {"variant": "UNET_PRE", "depth": 2, "base_channels": 2, "steps": 1, **setting}
+        self._assert_config_exit_2(data_dir, tmp_path, capsys, json.dumps(config))
+
     @pytest.mark.parametrize("text", ["[1, 2]", "3", '{"weights": 5}', '{"weights": [1]}'])
     def test_config_json_of_wrong_shape_exit_2(self, data_dir, tmp_path, capsys, text):
         self._assert_config_exit_2(data_dir, tmp_path, capsys, text)

@@ -278,7 +278,8 @@ class TestInitialization:
     def test_param_count_matches_declared_shapes(self, variant):
         cfg = ModelConfig(depth=3, base_channels=8)
         graph = build_model(variant, cfg, seed=0)
-        assert graph.param_count() == expected_param_count(variant, 3, 8)
+        count = sum(t.data.size for t in graph.params.values())
+        assert count == expected_param_count(variant, 3, 8)
 
 
 class TestFullModelGradient:

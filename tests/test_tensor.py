@@ -118,8 +118,10 @@ class TestConv3d:
         ((2, 5, 6, 7), (2, 2, 2, 2, 2), 2, 3),
     ]
 
-    # (channels per tap, tile bytes): the defaults, every contraction a tap
-    # loop, every one tiled in several tiles, every one a single tile
+    # (channels per tap, tile bytes) for the forward pass and the input
+    # gradient: the defaults, every contraction a tap loop, every one tiled in
+    # several tiles, every one a single tile. The kernel gradient is one GEMM
+    # per tap under all four.
     CONTRACTIONS = [
         (mmtseg.tensor._TILE_CHANNELS, mmtseg.tensor._TILE_BYTES),
         (0, mmtseg.tensor._TILE_BYTES),
