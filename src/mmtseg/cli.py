@@ -356,6 +356,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # one rule for every --seed, checked before a command writes anything
+        if getattr(args, "seed", None) is not None and args.seed < 0:
+            raise UsageError(f"--seed must be an integer >= 0, got {args.seed}")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -38,8 +38,9 @@ class LossWeights:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if not isfinite(value) or value < 0:
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+            real = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (real and isfinite(value) and value >= 0):
+                raise ValueError(f"weights.{name} must be a finite number >= 0, got {value!r}")
 
 
 def _as_target(target, shape):

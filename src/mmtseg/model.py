@@ -100,16 +100,13 @@ class ParamStore:
 
 
 class Conv3d:
-    """Same-padding convolution layer; odd kernels only."""
+    """Same-padding convolution layer; odd kernels only (see `conv3d`)."""
 
     def __init__(self, store, name, in_ch, out_ch, k=3):
-        if k % 2 == 0:
-            raise ValueError("same padding needs an odd kernel")
-        self.pad = k // 2
         self.kernel, self.bias = store.conv(name, in_ch, out_ch, k)
 
     def __call__(self, x):
-        return conv3d(x, self.kernel, self.bias, padding=self.pad)
+        return conv3d(x, self.kernel, self.bias)
 
 
 class ConvBlock:

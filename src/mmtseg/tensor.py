@@ -9,12 +9,14 @@ Values are stored as float32. Reductions and convolution contractions
 accumulate in float64 before casting back, and every op's summation order
 is fixed by its operand shapes, so repeated runs are bitwise identical.
 
-Convolution runs on a flat layout with one zero gutter after every row and
-plane, shared by both sides, in which each kernel tap is a fixed column
-shift, so its forward pass and both gradients are sums of GEMMs on
-contiguous column slices. The kernel gradient is one GEMM per tap; the
-channels per tap alone pick whether the forward pass and the input gradient
-copy their taps into fixed-size im2col tiles or loop over them (see `conv3d`).
+Convolution is same-padded at stride 1 with odd kernel extents, the only
+kind the network runs. The input and the output gradient share one flat
+layout with a zero gutter of the kernel's half-width after every row and
+plane, in which each kernel tap is a fixed column shift, so the forward pass
+and both gradients are sums of GEMMs on contiguous column slices. The kernel
+gradient is one GEMM per tap; the channels per tap alone pick whether the
+forward pass and the input gradient copy their taps into fixed-size im2col
+tiles or loop over them (see `conv3d`).
 """
 
 from __future__ import annotations
@@ -362,15 +364,6 @@ def concat_channels(inputs):
     return _make(out, list(inputs), backward)
 
 
-def _triple(v):
-    if isinstance(v, int):
-        return (v, v, v)
-    t = tuple(int(x) for x in v)
-    if len(t) != 3:
-        raise ShapeError(f"expected 3 per-axis values, got {v!r}")
-    return t
-
-
 # `_correlate` (the forward pass and the input gradient) with at most _TILE_CHANNELS
 # channels per tap copies its taps into im2col tiles of at most _TILE_BYTES, sized
 # to stay in L2; wider ones loop over taps. Constants, not options: the summation
@@ -379,12 +372,12 @@ _TILE_CHANNELS = 16
 _TILE_BYTES = 512 << 10
 
 
-def _taps(src, offset, span, kshape, plane, row):
+def _taps(src, span, kshape, plane, row):
     """Uncopied kd×kh×kw×rows×span column windows of a flat padded map `src`:
-    tap (i, j, k) is `src[:, s:s + span]` with s = offset + i·plane + j·row + k."""
+    tap (i, j, k) is `src[:, s:s + span]` with s = i·plane + j·row + k."""
     rs, cs = src.strides
     return np.lib.stride_tricks.as_strided(
-        src[:, offset:],
+        src,
         shape=(*kshape, src.shape[0], span),
         strides=(plane * cs, row * cs, cs, rs, cs),
         writeable=False,
@@ -416,34 +409,50 @@ def _kernel_grad(g, taps, kshape):
     return gk.transpose(3, 4, 0, 1, 2)
 
 
-def _grid(flat, extents, steps, plane, row):
-    """Voxels of a flat map: (z, y, x) is column z·sd·plane + y·sh·row + x·sw."""
+def _grid(flat, extents, plane, row):
+    """Voxels of a flat map: (z, y, x) is column z·plane + y·row + x."""
     rs, cs = flat.strides
-    sd, sh, sw = steps
     return np.lib.stride_tricks.as_strided(
         flat,
         shape=(flat.shape[0], *extents),
-        strides=(rs, sd * plane * cs, sh * row * cs, sw * cs),
+        strides=(rs, plane * cs, row * cs, cs),
     )
 
 
-def conv3d(x, kernel, bias, stride=1, padding=0):
-    """3D cross-correlation of a C×D×H×W map with an O×C×kd×kh×kw kernel.
+def _layout(a, kshape):
+    """A C×D×H×W map in float64 on the flat grid of a same-padded conv with odd
+    kernel extents `kshape`, half-widths (pd, ph, pw): row stride R = W + pw,
+    plane stride P = (H + ph)·R, voxel (z, y, x) at column lead + z·P + y·R + x
+    with lead = pd·P + ph·R + pw, zeros elsewhere. The pw zeros after a row
+    also pad the left of the next row, and the ph zero rows after a plane the
+    top of the next one. Returns (buffer, lead, P, R)."""
+    c, d, h, w = a.shape
+    pd, ph, pw = (n // 2 for n in kshape)
+    row = w + pw
+    plane = (h + ph) * row
+    lead = pd * plane + ph * row + pw
+    # the last tap of the last voxel reads the final element of the d + pd planes
+    flat = np.zeros((c, lead + (d + pd) * plane))
+    _grid(flat[:, lead:], (d, h, w), plane, row)[...] = a
+    return flat, lead, plane, row
+
+
+def conv3d(x, kernel, bias):
+    """Same-padded 3D cross-correlation at stride 1 of a C×D×H×W map with an
+    O×C×kd×kh×kw kernel of odd extents: an O×D×H×W output.
 
     Differentiable w.r.t. input, kernel and bias; the input gradient is
-    computed only when `x.requires_grad`. The input is flattened with row
-    stride R = W + pw and plane stride P = (H + ph)·R after pd·P + ph·R + pw
-    leading zeros: the pw zeros after a row also pad the left of the next
-    row, and the ph zero rows after a plane the top of the next plane. Voxel
-    (z, y, x) sits at that lead plus z·P + y·R + x, and kernel tap (i, j, k)
-    is the column shift i·P + j·R + k, so every pass is a sum over taps of
-    one GEMM on a contiguous column slice (kn2row, Vasudevan et al. 2017):
+    computed only when `x.requires_grad`. On the grid of `_layout`, kernel
+    tap (i, j, k) is the column shift i·P + j·R + k and output voxel
+    (z, y, x) column z·P + y·R + x of a span of (D - 1)·P + (H - 1)·R + W
+    columns, so every pass is a sum over taps of one GEMM on a contiguous
+    column slice (kn2row, Vasudevan et al. 2017). The input (xp) and the
+    output gradient (gp) share that layout:
 
     - forward: K_t @ xp[:, shift_t:shift_t + span]
-    - kernel gradient: g @ xp[:, shift_t:shift_t + span].T, with g laid
-      on the same grid and zero where no output voxel sits
-    - input gradient: the forward contraction with the kernel flipped and
-      transposed, over g after `shift_max` leading zeros
+    - kernel gradient: gp[:, lead:lead + span] @ xp[:, shift_t:shift_t + span].T
+    - input gradient: the forward contraction over gp, with the kernel
+      flipped and transposed
 
     In the forward pass and the input gradient, few channels per tap are
     contracted as L2-sized im2col tiles, one GEMM per tile (Chellapilla et
@@ -451,62 +460,40 @@ def conv3d(x, kernel, bias, stride=1, padding=0):
     contracts over the long span, one GEMM per tap whatever the channel
     count. Contractions run in float64, cast back to float32.
     """
-    sd, sh, sw = _triple(stride)
-    pd, ph, pw = _triple(padding)
     if x.data.ndim != 4:
         raise ShapeError(f"conv3d input must be C×D×H×W, got {x.data.shape}")
     if kernel.data.ndim != 5:
         raise ShapeError(f"conv3d kernel must be O×C×kd×kh×kw, got {kernel.data.shape}")
-    o, ci, kd, kh, kw = kernel.data.shape
+    o, ci = kernel.data.shape[:2]
+    kshape = kernel.data.shape[2:]
     if x.data.shape[0] != ci:
         raise ShapeError(
             f"conv3d channel mismatch: input has {x.data.shape[0]}, kernel expects {ci}"
         )
     if bias.data.shape != (o,):
         raise ShapeError(f"conv3d bias must have shape ({o},), got {bias.data.shape}")
-    if min(sd, sh, sw) < 1 or min(pd, ph, pw) < 0:
-        raise ShapeError("conv3d stride must be >=1 and padding >=0")
+    if not all(n % 2 for n in kshape):
+        raise ShapeError(f"conv3d same padding needs odd kernel extents, got {kshape}")
 
-    d, h, w = x.data.shape[1:]
-    do = (d + 2 * pd - kd) // sd + 1
-    ho = (h + 2 * ph - kh) // sh + 1
-    wo = (w + 2 * pw - kw) // sw + 1
-    if min(do, ho, wo) < 1:
-        raise ShapeError(
-            f"conv3d output extents non-positive: input {x.data.shape}, "
-            f"kernel {(kd, kh, kw)}, stride {(sd, sh, sw)}, padding {(pd, ph, pw)}"
-        )
-
-    # the last tap of the last output reads the final element of the d + pd planes
-    row = w + pw
-    plane = (h + ph) * row
-    start = pd * plane + ph * row + pw
-    xp = np.zeros((ci, start + (d + pd) * plane))
-    _grid(xp[:, start:], (d, h, w), (1, 1, 1), plane, row)[...] = x.data
-    kshape = (kd, kh, kw)
-    span = (do - 1) * sd * plane + (ho - 1) * sh * row + (wo - 1) * sw + 1
-    shift_max = (kd - 1) * plane + (kh - 1) * row + kw - 1
+    d, h, w = extents = x.data.shape[1:]
+    xp, lead, plane, row = _layout(x.data, kshape)
+    span = (d - 1) * plane + (h - 1) * row + w
+    x_taps = _taps(xp, span, kshape, plane, row)
     k64 = kernel.data.astype(np.float64)
     # backward remakes the im2col copy: holding it in the graph raises peak memory
-    out = _grid(
-        _correlate(k64, _taps(xp, 0, span, kshape, plane, row)),
-        (do, ho, wo), (sd, sh, sw), plane, row,
-    )
+    out = _grid(_correlate(k64, x_taps), extents, plane, row)
     out = out + bias.data.astype(np.float64).reshape(o, 1, 1, 1)
 
     def backward(g):
         g64 = g.astype(np.float64)
-        gp = np.zeros((o, shift_max + xp.shape[1]))
-        _grid(gp[:, shift_max:], (do, ho, wo), (sd, sh, sw), plane, row)[...] = g64
-        x_taps = _taps(xp, 0, span, kshape, plane, row)
-        gk = _kernel_grad(gp[:, shift_max : shift_max + span], x_taps, kshape)
+        gp = _layout(g64, kshape)[0]
+        gk = _kernel_grad(gp[:, lead : lead + span], x_taps, kshape)
         gb = g64.sum(axis=(1, 2, 3))
         gx = None
         if x.requires_grad:
             flipped = k64.transpose(1, 0, 2, 3, 4)[:, :, ::-1, ::-1, ::-1]
-            span_x = (d - 1) * plane + (h - 1) * row + w
-            g_taps = _taps(gp, start, span_x, kshape, plane, row)
-            gx = _grid(_correlate(flipped, g_taps), (d, h, w), (1, 1, 1), plane, row)
+            g_taps = _taps(gp, span, kshape, plane, row)
+            gx = _grid(_correlate(flipped, g_taps), extents, plane, row)
         return (gx, gk, gb)
 
     return _make(out.astype(np.float32), [x, kernel, bias], backward)

@@ -127,6 +127,14 @@ class TestTrain:
         config = {"variant": "UNET_PRE", "depth": 2, "base_channels": 2, "steps": 1, **setting}
         self._assert_config_exit_2(data_dir, tmp_path, capsys, json.dumps(config))
 
+    # each used to train at weight 1 or print an error that named no field
+    @pytest.mark.parametrize("value", [True, "x", None])
+    def test_bad_loss_weight_exit_2(self, data_dir, tmp_path, capsys, value):
+        config = {"variant": "UNET_PRE", "depth": 2, "base_channels": 2, "steps": 1,
+                  "weights": {"lambda_sc": value}}
+        err = self._assert_config_exit_2(data_dir, tmp_path, capsys, json.dumps(config))
+        assert "weights.lambda_sc" in err
+
     @pytest.mark.parametrize("text", ["[1, 2]", "3", '{"weights": 5}', '{"weights": [1]}'])
     def test_config_json_of_wrong_shape_exit_2(self, data_dir, tmp_path, capsys, text):
         self._assert_config_exit_2(data_dir, tmp_path, capsys, text)
@@ -138,8 +146,10 @@ class TestTrain:
         capsys.readouterr()
         assert main(["train", "--config", str(cfg_path), "--data-dir", str(data_dir),
                      "--out-dir", str(tmp_path / "o")]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
         assert not (tmp_path / "o" / "checkpoint.bin").exists()
+        return err
 
 
 class TestEval:
@@ -417,6 +427,23 @@ class TestInfer:
         assert labels.data.shape == (16, 16, 16)
 
 
+class TestSeedFlag:
+    # each used to exit 1 with numpy's message, or (eval) record the negative seed
+    @pytest.mark.parametrize("command", ["generate", "gradcheck", "eval"])
+    def test_negative_seed_exit_2(self, data_dir, tmp_path, capsys, command):
+        out = str(tmp_path / "out")
+        argv = {
+            "generate": ["generate", "--out-dir", out],
+            "gradcheck": ["gradcheck"],
+            "eval": ["eval", "--self-check", "--data-dir", str(data_dir), "--report", out],
+        }[command]
+        capsys.readouterr()
+        assert main(argv + ["--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "--seed" in captured.err
+        assert captured.out == "" and not os.path.exists(out)
+
+
 class TestGradcheckCommand:
     def test_fresh_build_passes(self, capsys):
         assert main(["gradcheck"]) == 0
@@ -427,8 +454,8 @@ class TestGradcheckCommand:
     def test_injected_sign_flip_fails(self, monkeypatch, capsys):
         real = mmtseg.tensor.conv3d
 
-        def faulty(x, kernel, bias, stride=1, padding=0):
-            out = real(x, kernel, bias, stride=stride, padding=padding)
+        def faulty(x, kernel, bias):
+            out = real(x, kernel, bias)
             if out._backward is not None:
                 orig_backward = out._backward
 

@@ -56,7 +56,7 @@ class TestConv3d:
         c = 0.75
         x = Tensor(np.full((1, 5, 5, 5), c, dtype=np.float32))
         k = Tensor(np.full((1, 1, 3, 3, 3), 1.0 / 27.0, dtype=np.float32))
-        out = conv3d(x, k, Tensor(np.zeros(1, dtype=np.float32)), padding=1)
+        out = conv3d(x, k, Tensor(np.zeros(1, dtype=np.float32)))
         assert out.data.shape == (1, 5, 5, 5)
         interior = out.data[0, 1:-1, 1:-1, 1:-1]
         assert np.allclose(interior, c, atol=1e-6)
@@ -65,58 +65,50 @@ class TestConv3d:
         x = rand_tensor(rng, (2, 4, 4, 4))
         k = rand_tensor(rng, (3, 4, 3, 3, 3))
         with pytest.raises(ShapeError, match="channel"):
-            conv3d(x, k, Tensor(np.zeros(3, dtype=np.float32)), padding=1)
+            conv3d(x, k, Tensor(np.zeros(3, dtype=np.float32)))
 
-    def test_too_small_input_raises(self, rng):
-        x = rand_tensor(rng, (1, 2, 2, 2))
-        k = rand_tensor(rng, (1, 1, 3, 3, 3))
-        with pytest.raises(ShapeError, match="extents"):
-            conv3d(x, k, Tensor(np.zeros(1, dtype=np.float32)))
+    def test_even_kernel_raises(self, rng):
+        x = rand_tensor(rng, (1, 4, 4, 4))
+        for kshape in [(2, 2, 2), (3, 3, 2), (1, 4, 1)]:
+            k = rand_tensor(rng, (1, 1, *kshape))
+            with pytest.raises(ShapeError, match="odd kernel"):
+                conv3d(x, k, Tensor(np.zeros(1, dtype=np.float32)))
 
     def test_grad_input(self, rng):
         x = rand_tensor(rng, (2, 3, 3, 3))
         k = rand_tensor(rng, (3, 2, 3, 3, 3), requires_grad=False)
         b = rand_tensor(rng, (3,), requires_grad=False)
-        err = grad_check(lambda t: weighted_sum(conv3d(t, k, b, padding=1), np.random.default_rng(0)), x)
+        err = grad_check(lambda t: weighted_sum(conv3d(t, k, b), np.random.default_rng(0)), x)
         assert err < FD_TOL
 
     def test_grad_kernel_and_bias(self, rng):
         x = rand_tensor(rng, (2, 3, 3, 3), requires_grad=False)
         k = rand_tensor(rng, (2, 2, 3, 3, 3))
         b = rand_tensor(rng, (2,))
-        err_k = grad_check(lambda t: weighted_sum(conv3d(x, t, b, padding=1), np.random.default_rng(1)), k)
-        err_b = grad_check(lambda t: weighted_sum(conv3d(x, k, t, padding=1), np.random.default_rng(2)), b)
+        err_k = grad_check(lambda t: weighted_sum(conv3d(x, t, b), np.random.default_rng(1)), k)
+        err_b = grad_check(lambda t: weighted_sum(conv3d(x, k, t), np.random.default_rng(2)), b)
         assert err_k < FD_TOL
         assert err_b < FD_TOL
 
-    def test_grad_strided(self, rng):
-        x = rand_tensor(rng, (1, 6, 6, 6))
-        k = rand_tensor(rng, (2, 1, 3, 3, 3))
-        b = Tensor(np.zeros(2, dtype=np.float32))
-        err = grad_check(
-            lambda t: weighted_sum(conv3d(t, k, b, stride=2, padding=1), np.random.default_rng(3)), x
-        )
-        assert err < FD_TOL
-
-    # (input, kernel, stride, padding). At the default constants the 1-channel
-    # 24³ conv runs several im2col tiles and the 20-channel one the tap loop.
-    ORACLE_CASES = [
-        ((2, 3, 3, 3), (2, 2, 3, 3, 3), 1, 1),
-        ((1, 6, 6, 6), (2, 1, 3, 3, 3), 2, 1),
-        ((3, 5, 7, 6), (4, 3, 1, 1, 1), 1, 0),
-        ((3, 5, 7, 6), (2, 3, 3, 2, 1), (2, 1, 3), (1, 0, 2)),
-        ((2, 7, 9, 8), (3, 2, 3, 3, 3), 3, 0),
-        ((2, 16, 16, 20), (1, 2, 3, 3, 3), 1, 1),
-        ((1, 24, 24, 24), (2, 1, 3, 3, 3), 1, 1),
-        ((20, 4, 5, 3), (20, 20, 3, 3, 3), 1, 1),
-        # padding reaching into the row and plane gutters of the flat layout
-        ((2, 4, 5, 3), (3, 2, 1, 1, 1), 1, 2),
-        ((2, 4, 5, 6), (2, 2, 3, 3, 3), 1, 2),
-        ((1, 1, 1, 6), (2, 1, 3, 3, 3), 1, 1),
-        ((2, 6, 1, 1), (3, 2, 3, 3, 3), 1, 1),
-        ((2, 5, 4, 6), (2, 2, 3, 3, 3), 1, (2, 1, 0)),
-        ((2, 5, 6, 7), (2, 2, 2, 2, 2), 2, 3),
-    ]
+    # id: (input, kernel), padded by each kernel extent's half-width. At the
+    # default constants the 1-channel 24³ conv runs several im2col tiles and the
+    # 20-channel one the tap loop. The ids are the ones these cases had when
+    # they also listed stride and padding, so each case keeps its name in test
+    # reports.
+    ORACLE_CASES = {
+        "xshape0-kshape0-1-1": ((2, 3, 3, 3), (2, 2, 3, 3, 3)),
+        "xshape2-kshape2-1-0": ((3, 5, 7, 6), (4, 3, 1, 1, 1)),
+        "xshape5-kshape5-1-1": ((2, 16, 16, 20), (1, 2, 3, 3, 3)),
+        "xshape6-kshape6-1-1": ((1, 24, 24, 24), (2, 1, 3, 3, 3)),
+        "xshape7-kshape7-1-1": ((20, 4, 5, 3), (20, 20, 3, 3, 3)),
+        "xshape10-kshape10-1-1": ((1, 1, 1, 6), (2, 1, 3, 3, 3)),
+        "xshape11-kshape11-1-1": ((2, 6, 1, 1), (3, 2, 3, 3, 3)),
+        # kernels whose half-widths reach into the row and plane gutters
+        "xshape3-kshape3-stride3-padding3": ((3, 5, 7, 6), (2, 3, 3, 1, 5)),
+        "xshape8-kshape8-1-2": ((2, 4, 5, 3), (3, 2, 5, 5, 5)),
+        "xshape9-kshape9-1-2": ((2, 4, 5, 6), (2, 2, 5, 5, 5)),
+        "xshape12-kshape12-1-padding12": ((2, 5, 4, 6), (2, 2, 5, 3, 1)),
+    }
 
     # (channels per tap, tile bytes) for the forward pass and the input
     # gradient: the defaults, every contraction a tap loop, every one tiled in
@@ -129,22 +121,20 @@ class TestConv3d:
         (1 << 30, 1 << 62),
     ]
 
-    @pytest.mark.parametrize("xshape,kshape,stride,padding", ORACLE_CASES)
-    def test_matches_loop_oracle_under_both_contractions(self, rng, monkeypatch, xshape,
-                                                         kshape, stride, padding):
+    @pytest.mark.parametrize("xshape,kshape", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
+    def test_matches_loop_oracle_under_both_contractions(self, rng, monkeypatch, xshape, kshape):
         x = rng.uniform(-1, 1, xshape).astype(np.float32)
         k = rng.uniform(-1, 1, kshape).astype(np.float32)
         b = rng.uniform(-1, 1, kshape[0]).astype(np.float32)
-        triple = lambda v: (v, v, v) if isinstance(v, int) else v
         g = ref = None
         for channels, tile_bytes in self.CONTRACTIONS:
             monkeypatch.setattr(mmtseg.tensor, "_TILE_CHANNELS", channels)
             monkeypatch.setattr(mmtseg.tensor, "_TILE_BYTES", tile_bytes)
             xt, kt, bt = (Tensor(a, requires_grad=True) for a in (x, k, b))
-            out = conv3d(xt, kt, bt, stride=stride, padding=padding)
+            out = conv3d(xt, kt, bt)
             if ref is None:
                 g = rng.uniform(-1, 1, out.data.shape).astype(np.float32)
-                ref = oracle_conv3d(x, k, b, g, triple(stride), triple(padding))
+                ref = oracle_conv3d(x, k, b, g, (1, 1, 1), tuple(n // 2 for n in kshape[2:]))
             tensor_sum(mul_broadcast(out, Tensor(g))).backward()
             # float64 sums cast once to float32: within one float32 ulp
             for got, want in zip((out.data, xt.grad, kt.grad, bt.grad), ref):
@@ -153,7 +143,7 @@ class TestConv3d:
     def test_input_gradient_skipped_without_requires_grad(self, rng):
         x = rand_tensor(rng, (2, 4, 4, 4), requires_grad=False)
         k = rand_tensor(rng, (3, 2, 3, 3, 3))
-        out = conv3d(x, k, rand_tensor(rng, (3,)), padding=1)
+        out = conv3d(x, k, rand_tensor(rng, (3,)))
         gx, gk, gb = out._backward(np.ones(out.data.shape, dtype=np.float32))
         assert gx is None
         assert gk.shape == k.data.shape and gb.shape == (3,)
@@ -394,7 +384,7 @@ class TestBackward:
         b2 = rand_tensor(rng, (1,))
 
         def net(kern):
-            h = relu(conv3d(x, kern, b1, padding=1))
+            h = relu(conv3d(x, kern, b1))
             out = conv3d(h, k2, b2)
             return weighted_sum(out, np.random.default_rng(16))
 
@@ -415,7 +405,7 @@ class TestNoGrad:
         b = rand_tensor(rng, (3,))
 
         def net():
-            h = relu(conv3d(x, k, b, padding=1))
+            h = relu(conv3d(x, k, b))
             return softmax_channels(concat_channels([h, mul_broadcast(h, 2.0)]))
 
         with no_grad():
@@ -440,8 +430,8 @@ class TestDeterminismAndChecks:
         x = rand_tensor(rng, (2, 4, 4, 4), requires_grad=False)
         k = rand_tensor(rng, (3, 2, 3, 3, 3), requires_grad=False)
         b = rand_tensor(rng, (3,), requires_grad=False)
-        a = conv3d(x, k, b, padding=1).data
-        bta = conv3d(x, k, b, padding=1).data
+        a = conv3d(x, k, b).data
+        bta = conv3d(x, k, b).data
         assert np.array_equal(a, bta)
 
     def test_debug_check_flags_overflow(self):
@@ -460,7 +450,7 @@ class TestDeterminismAndChecks:
         b = rand_tensor(rng, (2,), requires_grad=False)
 
         def composite(t):
-            h = max_pool3d(relu(conv3d(t, k, b, padding=1)))
+            h = max_pool3d(relu(conv3d(t, k, b)))
             return weighted_sum(h, np.random.default_rng(18))
 
         assert grad_check(composite, x) < FD_TOL
