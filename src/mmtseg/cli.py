@@ -106,27 +106,20 @@ def _case_name(seed, index):
     return f"case_{seed}_{index}"
 
 
-def _list_cases(data_dir):
+def _load_cases(data_dir, labels=True):
+    """(name, volume, label volume or None) per `<name>_img.mmts`, by name."""
     if not os.path.isdir(data_dir):
         raise UsageError(f"data directory not found: {data_dir}")
-    names = sorted(
-        f[: -len("_img.mmts")] for f in os.listdir(data_dir) if f.endswith("_img.mmts")
-    )
-    cases = []
-    for name in names:
-        img = os.path.join(data_dir, name + "_img.mmts")
-        lbl = os.path.join(data_dir, name + "_lbl.mmts")
-        if not os.path.isfile(lbl):
-            raise UsageError(f"case {name}: label file missing")
-        cases.append((name, img, lbl))
-    if not cases:
+    names = sorted(f[: -len("_img.mmts")] for f in os.listdir(data_dir) if f.endswith("_img.mmts"))
+    if not names:
         raise UsageError(f"no cases found in {data_dir}")
-    return cases
-
-
-def _load_cases(data_dir):
+    stems = [os.path.join(data_dir, name) for name in names]
+    for name, stem in zip(names, stems):
+        if labels and not os.path.isfile(stem + "_lbl.mmts"):
+            raise UsageError(f"case {name}: label file missing")
     return [
-        (name, read_volume(img), read_labels(lbl)) for name, img, lbl in _list_cases(data_dir)
+        (name, read_volume(stem + "_img.mmts"), read_labels(stem + "_lbl.mmts") if labels else None)
+        for name, stem in zip(names, stems)
     ]
 
 
@@ -225,7 +218,7 @@ def cmd_eval(args):
 def cmd_infer(args):
     graph, _, config = _load_checkpoint(args.checkpoint)
     os.makedirs(args.out_dir, exist_ok=True)
-    for name, volume, _ in _load_cases(args.data_dir):
+    for name, volume, _ in _load_cases(args.data_dir, labels=False):
         pred = _predict_labels(graph, config.patch_extents, volume)
         write_labels(os.path.join(args.out_dir, name + "_pred.mmts"), pred)
     manifest = _run_manifest("infer", config.to_dict(), config.seed)

@@ -84,10 +84,6 @@ def _check_finite(arr, what):
         raise FloatingPointError(f"non-finite values in {what}")
 
 
-def _as_f32(data):
-    return np.asarray(data, dtype=np.float32)
-
-
 class Tensor:
     """A float32 array plus an optional slot in a reverse-mode graph.
 
@@ -98,7 +94,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False):
-        self.data = _as_f32(data)
+        self.data = np.asarray(data, dtype=np.float32)
         self.grad = None
         self.requires_grad = requires_grad
         self._parents = ()
@@ -271,9 +267,10 @@ def div(a, b):
 
 
 def relu(x):
-    """max(0, x); subgradient at 0 is 0."""
-    mask = x.data > 0
-    return _make(np.where(mask, x.data, np.float32(0.0)), [x], lambda g: (g * mask,))
+    """max(0, x), with +0 for x ≤ 0 and NaN for NaN; subgradient at 0 is 0."""
+    out = np.maximum(x.data, 0)
+    out += 0  # −0 becomes +0
+    return _make(out, [x], lambda g: (g * (out > 0),))
 
 
 # smallest/largest float32 strictly inside (0, 1)
@@ -288,11 +285,11 @@ def sigmoid(x):
     which kills the gradient exactly and freezes training permanently.
     """
     d = x.data
-    out = np.empty_like(d)
-    pos = d >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ez = np.exp(d[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    e = np.abs(d)
+    np.exp(np.negative(e, out=e), out=e)  # exp(−|d|) ≤ 1 never overflows
+    out = np.maximum(e, d >= 0)  # 1 / (1 + e) for d ≥ 0, else e / (1 + e)
+    e += 1
+    out /= e
     np.clip(out, _SIGMOID_LO, _SIGMOID_HI, out=out)
     return _make(out, [x], lambda g: (g * out * (1.0 - out),))
 
@@ -500,32 +497,42 @@ def conv3d(x, kernel, bias):
 
 
 def max_pool3d(x, factor=2):
-    """Non-overlapping max pooling; spatial extents must divide by `factor`."""
+    """Non-overlapping max pooling; spatial extents must divide by `factor`.
+
+    Ties: an output carries the bits of the first entry of its f³ block, in
+    (dz, dy, dx) order, that equals the maximum (+0 or −0), and that entry
+    alone gets the output's gradient.
+    """
     f = int(factor)
     if x.data.ndim != 4:
         raise ShapeError(f"max_pool3d needs C×D×H×W, got {x.data.shape}")
     c, d, h, w = x.data.shape
     if d % f or h % f or w % f:
         raise ShapeError(f"max_pool3d extents {x.data.shape[1:]} not divisible by {f}")
-    blocks = (
-        x.data.reshape(c, d // f, f, h // f, f, w // f, f)
-        .transpose(0, 1, 3, 5, 2, 4, 6)
-        .reshape(c, d // f, h // f, w // f, f * f * f)
-    )
-    idx = np.argmax(blocks, axis=-1)  # ties route to the first maximum
-    out = np.take_along_axis(blocks, idx[..., None], axis=-1)[..., 0]
+    # a dx×dy×dz×C×D'×H'×W' view, reduced over dx, then dy, then dz; on a tie
+    # np.maximum(cell, m) returns m, so each stage keeps the first maximum
+    stages = [x.data.reshape(c, d // f, f, h // f, f, w // f, f).transpose(6, 4, 2, 0, 1, 3, 5)]
+    for _ in range(3):
+        first, *rest = stages[-1]
+        m = first.copy()
+        for cell in rest:
+            np.maximum(cell, m, out=m)
+        stages.append(m)
 
     def backward(g):
-        gb = np.zeros_like(blocks)
-        np.put_along_axis(gb, idx[..., None], g[..., None], axis=-1)
-        gx = (
-            gb.reshape(c, d // f, h // f, w // f, f, f, f)
-            .transpose(0, 1, 4, 2, 5, 3, 6)
-            .reshape(c, d, h, w)
-        )
-        return (gx,)
+        # per stage, the first cell equal to the maximum takes g, the later ones g − g = 0
+        g = g.astype(np.float32, copy=False)
+        for a, m in zip(stages[2::-1], stages[:0:-1]):
+            ga = np.empty_like(a)
+            *g_head, g_last = ga
+            for cell, g_cell in zip(a, g_head):
+                np.multiply(g, cell == m, out=g_cell)
+                g = g - g_cell
+            g_last[...] = g
+            g = ga
+        return (g.transpose(3, 4, 2, 5, 1, 6, 0).reshape(c, d, h, w),)
 
-    return _make(out, [x], backward)
+    return _make(stages[-1], [x], backward)
 
 
 def nearest_upsample(x, factor=2):

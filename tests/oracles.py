@@ -151,3 +151,29 @@ def oracle_upsample_grad(g, factor):
                 acc += gs[ch][z * f + i][y * f + j][x * f + k]
             out[ch][z][y][x] = acc
     return out
+
+
+def oracle_max_pool3d(x, g, factor):
+    """Non-overlapping max pooling of a C×D×H×W `x` and its gradient for an
+    upstream gradient `g`, by loops over each f³ block in (dz, dy, dx) order.
+
+    A later entry replaces the running maximum only if it is strictly greater,
+    so the first entry equal to the maximum wins: the output takes its value
+    (and so its sign, for ±0) and it alone takes the whole gradient. Returns
+    (out, grad_x) as nested lists.
+    """
+    xs, gs, f = x.tolist(), g.tolist(), factor
+    c, d, h, w = len(xs), len(xs[0]) // f, len(xs[0][0]) // f, len(xs[0][0][0]) // f
+    out = _zeros(c, d, h, w)
+    gx = _zeros(c, d * f, h * f, w * f)
+    for ch in range(c):
+        vol = xs[ch]
+        for z, y, x0 in _indices((d, h, w)):
+            best = None
+            for i, j, k in _indices((f, f, f)):
+                zi, yi, xi = z * f + i, y * f + j, x0 * f + k
+                if best is None or vol[zi][yi][xi] > vol[best[0]][best[1]][best[2]]:
+                    best = (zi, yi, xi)
+            out[ch][z][y][x0] = vol[best[0]][best[1]][best[2]]
+            gx[ch][best[0]][best[1]][best[2]] = gs[ch][z][y][x0]
+    return out, gx

@@ -426,6 +426,27 @@ class TestInfer:
         labels = read_labels(out / preds[0])
         assert labels.data.shape == (16, 16, 16)
 
+    def test_image_only_directory(self, data_dir, trained_run, tmp_path, capsys):
+        # infer reads no label file; eval still needs one per case
+        images = tmp_path / "images"
+        images.mkdir()
+        for f in data_dir.glob("*_img.mmts"):
+            (images / f.name).write_bytes(f.read_bytes())
+        ck = str(trained_run / "checkpoint")
+        for src, out in ((data_dir, "full"), (images, "only")):
+            assert main(["infer", "--checkpoint", ck, "--data-dir", str(src),
+                         "--out-dir", str(tmp_path / out)]) == 0
+        preds = sorted(f.name for f in (tmp_path / "full").glob("*_pred.mmts"))
+        assert len(preds) == 3
+        assert sorted(f.name for f in (tmp_path / "only").glob("*_pred.mmts")) == preds
+        for name in preds:
+            assert (tmp_path / "only" / name).read_bytes() == (tmp_path / "full" / name).read_bytes()
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", ck, "--data-dir", str(images),
+                     "--report", str(tmp_path / "r.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "label file missing" in err
+
 
 class TestSeedFlag:
     # each used to exit 1 with numpy's message, or (eval) record the negative seed

@@ -20,13 +20,30 @@ from mmtseg.tensor import (
     tensor_sum,
 )
 
-from oracles import oracle_conv3d, oracle_upsample_grad
+from oracles import oracle_conv3d, oracle_max_pool3d, oracle_upsample_grad
 
 FD_TOL = 1e-3
 
 
 def rand_tensor(rng, shape, requires_grad=True):
     return Tensor(rng.uniform(-1, 1, shape).astype(np.float32), requires_grad=requires_grad)
+
+
+def bits(a):
+    """The float32 bit patterns of `a`, so +0 and −0 compare unequal."""
+    return np.asarray(a, dtype=np.float32).view(np.int32)
+
+
+# ±0, ±subnormals, ±1, past exp's float32 overflow, saturating and near float32 max
+EDGE_VALUES = np.array([0.0, 1e-45, 1e-40, 1.0, 88.8, 1e4, 3.4e38], dtype=np.float32)
+EDGE_VALUES = np.concatenate([EDGE_VALUES, -EDGE_VALUES])
+
+
+def edge_and_random_values():
+    rng = np.random.default_rng(2024)
+    magnitudes = 10.0 ** rng.uniform(-45, 38, 10**4)
+    random = (magnitudes * rng.choice([-1.0, 1.0], 10**4)).astype(np.float32)
+    return np.concatenate([EDGE_VALUES, random])
 
 
 def weighted_sum(t, rng):
@@ -166,6 +183,25 @@ class TestPointwise:
         err = grad_check(lambda t: weighted_sum(relu(t), np.random.default_rng(4)), x)
         assert err < FD_TOL
 
+    def test_relu_bits_equal_select_of_positive_part(self):
+        x = edge_and_random_values()
+        assert np.array_equal(bits(relu(Tensor(x)).data), bits(np.where(x > 0, x, np.float32(0))))
+
+    def test_relu_propagates_nan(self, monkeypatch):
+        monkeypatch.setattr(mmtseg.tensor, "_debug_checks", False)
+        out = relu(Tensor([np.nan, -1.0, 1.0]))
+        assert np.isnan(out.data[0]) and np.array_equal(out.data[1:], [0.0, 1.0])
+
+    def test_sigmoid_bits_equal_two_branch_formula(self):
+        x = edge_and_random_values()
+        want = np.empty_like(x)
+        pos = x >= 0
+        want[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ez = np.exp(x[~pos])
+        want[~pos] = ez / (1.0 + ez)
+        np.clip(want, mmtseg.tensor._SIGMOID_LO, mmtseg.tensor._SIGMOID_HI, out=want)
+        assert np.array_equal(bits(sigmoid(Tensor(x)).data), bits(want))
+
     def test_sigmoid_zero(self):
         assert sigmoid(Tensor([0.0])).data[0] == pytest.approx(0.5)
 
@@ -261,6 +297,23 @@ class TestPoolingAndShape:
     def test_max_pool_constant(self):
         x = Tensor(np.full((1, 4, 4, 4), 2.5, dtype=np.float32))
         assert np.all(max_pool3d(x).data == 2.5)
+
+    @pytest.mark.parametrize("factor", [2, 3])
+    @pytest.mark.parametrize("g_dtype", [np.float32, np.float64])
+    def test_max_pool_tie_rule_equals_oracle(self, rng, factor, g_dtype):
+        # integer values and signed zeros, with 1 in about half the blocks: most
+        # blocks tie for their maximum, at 1 or at ±0
+        values = np.array([-2.0, -1.0, -0.0, 0.0, 1.0], dtype=np.float32)
+        p_one = 1 - 0.5 ** (1 / factor**3)
+        x = Tensor(rng.choice(values, (2, 2 * factor, 3 * factor, 9 * factor),
+                              p=[(1 - p_one) / 4] * 4 + [p_one]), requires_grad=True)
+        out = max_pool3d(x, factor)
+        g = rng.uniform(-1, 1, out.data.shape).astype(g_dtype)
+        (gx,) = out._backward(g)
+        want_out, want_gx = oracle_max_pool3d(x.data, g, factor)
+        assert np.array_equal(bits(out.data), bits(want_out))
+        assert gx.dtype == np.float32
+        assert np.array_equal(gx, np.asarray(want_gx, dtype=np.float32))
 
     def test_max_pool_indivisible_raises(self, rng):
         with pytest.raises(ShapeError):
