@@ -3,15 +3,16 @@ branch through spatial-channel attention, plus the comparison topologies.
 
 Variants:
   MMTSN          three sub-branches + attention-fused main branch
-  UNET_PRE       one U-shape on the concatenated modalities (input-level fusion)
+  UNET_PRE       one U-shape on all four modalities (input-level fusion)
   UNET_POST      one U-shape per modality, class logits added (decision-level)
   MMTSN_NO_SCFB  MMTSN topology with plain concat+conv fusion
 
-Sub-branches own fixed modality subsets: the whole-tumor branch reads
-T2/Flair, the tumor-core branch T1/T1c, the enhancing-tumor branch T1c.
-Each branch is a U-shape; the main branch fuses same-scale sub-branch
-encoder features with its own at every encoder scale. Upsampling is
-nearest-neighbor followed by convolution.
+Every U-shape reads its own modality subset of the patch: the whole-tumor
+branch T2/Flair, the tumor-core branch T1/T1c, the enhancing-tumor branch
+T1c, the pre-fusion U-Net all four and each post-fusion U-Net one. The
+main branch fuses same-scale sub-branch encoder features with its own at
+every encoder scale. Upsampling is nearest-neighbor followed by
+convolution.
 
 The sub-branch decoders and sigmoid heads are training-only supervision:
 they feed the branch Dice and containment losses, and the segmentation
@@ -25,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -75,7 +77,7 @@ class ForwardOutputs:
 
 
 class ParamStore:
-    """Registers uniquely named trainable tensors with He-style init."""
+    """Registers uniquely named trainable tensors; `rng` draws their init."""
 
     def __init__(self, rng):
         self.rng = rng
@@ -88,33 +90,22 @@ class ParamStore:
         self.params[name] = t
         return t
 
-    def conv(self, name, in_ch, out_ch, k):
-        fan_in = in_ch * k * k * k
-        kernel = self.rng.standard_normal((out_ch, in_ch, k, k, k)) * np.sqrt(
-            2.0 / fan_in
-        )
-        return (
-            self.register(f"{name}.kernel", kernel.astype(np.float32)),
-            self.register(f"{name}.bias", np.zeros(out_ch, dtype=np.float32)),
-        )
-
 
 class Conv3d:
-    """Same-padding convolution layer; odd kernels only (see `conv3d`)."""
+    """Same-padding convolution layer; odd kernels only (see `conv3d`).
+
+    The kernel is He-initialized from `store.rng` and the bias is zero;
+    both are registered, kernel first.
+    """
 
     def __init__(self, store, name, in_ch, out_ch, k=3):
-        self.kernel, self.bias = store.conv(name, in_ch, out_ch, k)
+        std = np.sqrt(2.0 / (in_ch * k**3))  # He: fan-in of one output voxel
+        kernel = store.rng.standard_normal((out_ch, in_ch, k, k, k)) * std
+        self.kernel = store.register(f"{name}.kernel", kernel.astype(np.float32))
+        self.bias = store.register(f"{name}.bias", np.zeros(out_ch, dtype=np.float32))
 
     def __call__(self, x):
         return conv3d(x, self.kernel, self.bias)
-
-
-class ConvBlock:
-    def __init__(self, store, name, in_ch, out_ch):
-        self.conv = Conv3d(store, name, in_ch, out_ch, k=3)
-
-    def __call__(self, x):
-        return relu(self.conv(x))
 
 
 class SCFB:
@@ -164,55 +155,64 @@ class Decoder:
     convolve, up to full resolution; then a 1×1×1 head to `out_ch` logits."""
 
     def __init__(self, store, name, out_ch, depth, base):
-        self.blocks = []
+        self.convs = []
         for i in range(depth - 2, -1, -1):
             c_in = base * 2 ** (i + 1) + base * 2**i  # upsampled + skip
-            self.blocks.append(ConvBlock(store, f"{name}.dec{i}", c_in, base * 2**i))
+            self.convs.append(Conv3d(store, f"{name}.dec{i}", c_in, base * 2**i))
         self.head = Conv3d(store, f"{name}.head", base, out_ch, k=1)
 
     def __call__(self, feats):
         """Logits from per-scale features, finest first."""
         h = feats[-1]
-        for block, skip in zip(self.blocks, reversed(feats[:-1])):
-            h = block(concat_channels([nearest_upsample(h), skip]))
+        for conv, skip in zip(self.convs, reversed(feats[:-1])):
+            h = relu(conv(concat_channels([nearest_upsample(h), skip])))
         return self.head(h)
 
 
 class UNet:
-    """Single-stream U-shape: an encoder of per-scale features and a decoder."""
+    """U-shape over a modality subset: per-scale encoder features and a decoder."""
 
-    def __init__(self, store, name, in_ch, out_ch, depth, base):
+    def __init__(self, store, name, modalities, out_ch, depth, base):
+        self.channels = [MODALITY_INDEX[m] for m in modalities]
         self.enc = []
         for i in range(depth):
-            c_in = in_ch if i == 0 else base * 2 ** (i - 1)
-            self.enc.append(ConvBlock(store, f"{name}.enc{i}", c_in, base * 2**i))
+            c_in = len(modalities) if i == 0 else base * 2 ** (i - 1)
+            self.enc.append(Conv3d(store, f"{name}.enc{i}", c_in, base * 2**i))
         self.decoder = Decoder(store, name, out_ch, depth, base)
 
-    def encode(self, x):
-        """Per-scale encoder features, finest first."""
+    def encode(self, patch_np):
+        """Per-scale encoder features of this U-shape's modalities, finest first."""
         feats = []
-        h = x
-        for i, block in enumerate(self.enc):
-            if i > 0:
-                h = max_pool3d(h)
-            h = block(h)
+        h = Tensor(patch_np[self.channels])
+        for i, conv in enumerate(self.enc):
+            h = relu(conv(max_pool3d(h) if i else h))
             feats.append(h)
         return feats
 
-    def __call__(self, x):
-        return self.decoder(self.encode(x))
+    def __call__(self, patch_np):
+        return self.decoder(self.encode(patch_np))
+
+
+class UNetSum:
+    """The U-Net baselines: class logits of their U-shapes, summed."""
+
+    def __init__(self, unets):
+        self.unets = unets
+
+    def predict(self, patch_np):
+        return softmax_channels(reduce(add, (unet(patch_np) for unet in self.unets)))
+
+    def forward(self, patch_np):
+        # the U-shapes have no sub-branch outputs
+        return ForwardOutputs(main_probs=self.predict(patch_np))
 
 
 class FusedNet:
     """Main branch whose encoder fuses sub-branch features at every scale."""
 
-    def __init__(self, store, cfg, fusion_cls):
-        depth, base = cfg.depth, cfg.base_channels
-        self.depth = depth
+    def __init__(self, store, depth, base, fusion_cls):
         self.branches = {
-            region: UNet(
-                store, f"branch_{region}", len(mods), 1, depth, base
-            )
+            region: UNet(store, f"branch_{region}", mods, 1, depth, base)
             for region, mods in BRANCH_MODALITIES.items()
         }
         self.enc = []
@@ -220,48 +220,44 @@ class FusedNet:
         for i in range(depth):
             c_in = len(MODALITY_INDEX) if i == 0 else base * 2 ** (i - 1)
             c_scale = base * 2**i
-            self.enc.append(ConvBlock(store, f"main.enc{i}", c_in, c_scale))
-            self.fusions.append(
-                fusion_cls(store, f"main.fusion{i}", 4 * c_scale, c_scale)
-            )
+            self.enc.append(Conv3d(store, f"main.enc{i}", c_in, c_scale))
+            self.fusions.append(fusion_cls(store, f"main.fusion{i}", 4 * c_scale, c_scale))
         self.decoder = Decoder(store, "main", NUM_CLASSES, depth, base)
 
-    def encode_branches(self, patch_np):
-        """{region: per-scale sub-branch encoder features} on its modalities."""
-        return {
-            region: self.branches[region].encode(
-                Tensor(patch_np[[MODALITY_INDEX[m] for m in mods]])
-            )
-            for region, mods in BRANCH_MODALITIES.items()
-        }
+    def predict(self, patch_np):
+        feats = [branch.encode(patch_np) for branch in self.branches.values()]
+        return softmax_channels(self._main_logits(patch_np, feats))
 
-    def __call__(self, patch_np, branch_feats):
-        """Main-branch logits, fusing `branch_feats` at every encoder scale."""
+    def forward(self, patch_np):
+        feats = {region: branch.encode(patch_np) for region, branch in self.branches.items()}
+        probs = {region: sigmoid(self.branches[region].decoder(f)) for region, f in feats.items()}
+        return ForwardOutputs(
+            main_probs=softmax_channels(self._main_logits(patch_np, list(feats.values()))),
+            wt_prob=probs["wt"], tc_prob=probs["tc"], et_prob=probs["et"],
+        )
+
+    def _main_logits(self, patch_np, branch_feats):
+        """Main-branch logits, fusing `branch_feats` (wt, tc, et) at every scale."""
         fused = []
         h = Tensor(patch_np)
-        for i in range(self.depth):
-            if i > 0:
-                h = max_pool3d(h)
-            own = self.enc[i](h)
-            h = self.fusions[i](
-                [branch_feats["wt"][i], branch_feats["tc"][i], branch_feats["et"][i], own]
-            )
+        for i, (conv, fusion) in enumerate(zip(self.enc, self.fusions)):
+            own = relu(conv(max_pool3d(h) if i else h))
+            h = fusion([feats[i] for feats in branch_feats] + [own])
             fused.append(h)
         return self.decoder(fused)
 
 
 class ModelGraph:
-    """Named parameter set plus the forward topology for one variant."""
+    """Named parameter set plus the net that runs one variant's topology."""
 
-    def __init__(self, config, params, predict_fn, forward_fn):
+    def __init__(self, config, params, net):
         self.config = config
         self.params = params
-        self._predict = predict_fn
-        self._forward = forward_fn
+        self.net = net
 
     def forward(self, patch) -> ForwardOutputs:
         """Every output the training losses read."""
-        return self._forward(self._checked(patch))
+        return self.net.forward(self._checked(patch))
 
     def predict(self, patch) -> Tensor:
         """Main-branch class probabilities, equal to `forward(patch).main_probs`.
@@ -270,7 +266,7 @@ class ModelGraph:
         prediction runs the encoders, the fusion blocks and the main decoder,
         and skips every `branch_*.dec*` and `branch_*.head` convolution.
         """
-        return self._predict(self._checked(patch))
+        return self.net.predict(self._checked(patch))
 
     def _checked(self, patch):
         patch_np = patch.data if isinstance(patch, Tensor) else np.asarray(patch)
@@ -296,50 +292,14 @@ def build_model(variant, config: ModelConfig, seed: int) -> ModelGraph:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     store = ParamStore(np.random.default_rng(seed))
     depth, base = config.depth, config.base_channels
-
     if variant == "UNET_PRE":
-        net = UNet(store, "unet", len(MODALITY_INDEX), NUM_CLASSES, depth, base)
-
-        def predict(patch_np):
-            return softmax_channels(net(Tensor(patch_np)))
-
+        net = UNetSum([UNet(store, "unet", MODALITY_INDEX, NUM_CLASSES, depth, base)])
     elif variant == "UNET_POST":
-        nets = {
-            m: UNet(store, f"unet_{m}", 1, NUM_CLASSES, depth, base)
-            for m in MODALITY_INDEX
-        }
-
-        def predict(patch_np):
-            total = None
-            for m, idx in MODALITY_INDEX.items():
-                logits = nets[m](Tensor(patch_np[idx : idx + 1]))
-                total = logits if total is None else add(total, logits)
-            return softmax_channels(total)
-
+        net = UNetSum([UNet(store, f"unet_{m}", (m,), NUM_CLASSES, depth, base)
+                       for m in MODALITY_INDEX])
     else:
-        fusion_cls = SCFB if variant == "MMTSN" else ConcatFuse
-        net = FusedNet(store, config, fusion_cls)
-
-        def predict(patch_np):
-            return softmax_channels(net(patch_np, net.encode_branches(patch_np)))
-
-        def forward(patch_np):
-            feats = net.encode_branches(patch_np)
-            logits = {region: net.branches[region].decoder(f) for region, f in feats.items()}
-            return ForwardOutputs(
-                main_probs=softmax_channels(net(patch_np, feats)),
-                wt_prob=sigmoid(logits["wt"]),
-                tc_prob=sigmoid(logits["tc"]),
-                et_prob=sigmoid(logits["et"]),
-            )
-
-        return ModelGraph(config, store.params, predict, forward)
-
-    # the U-shapes have no sub-branch outputs
-    def forward(patch_np):
-        return ForwardOutputs(main_probs=predict(patch_np))
-
-    return ModelGraph(config, store.params, predict, forward)
+        net = FusedNet(store, depth, base, SCFB if variant == "MMTSN" else ConcatFuse)
+    return ModelGraph(config, store.params, net)
 
 
 # -- checkpoint blobs ---------------------------------------------------------

@@ -142,7 +142,7 @@ def augment(patch, label_patch, seed):
     """
     rng = np.random.default_rng(seed)
     img = np.asarray(patch, dtype=np.float32).copy()
-    lbl = None if label_patch is None else np.asarray(label_patch).copy()
+    lbl = np.asarray(label_patch).copy()
 
     if rng.random() < 0.5:
         gamma = float(rng.uniform(0.7, 1.5))
@@ -153,13 +153,11 @@ def augment(patch, label_patch, seed):
         if img.shape[1] != img.shape[2] and k % 2 == 1:
             k = 2
         img = np.rot90(img, k, axes=(1, 2)).copy()
-        if lbl is not None:
-            lbl = np.rot90(lbl, k, axes=(0, 1)).copy()
+        lbl = np.rot90(lbl, k, axes=(0, 1)).copy()
 
     for axis in range(3):
         if rng.random() < 0.5:
             img = np.flip(img, axis=axis + 1).copy()
-            if lbl is not None:
-                lbl = np.flip(lbl, axis=axis).copy()
+            lbl = np.flip(lbl, axis=axis).copy()
 
     return img, lbl

@@ -184,8 +184,10 @@ def _check_meta(path, meta):
     missing = [k for k in META_FIELDS + ("step",) if k not in meta]
     if missing:
         raise ValueError(f"checkpoint {path} meta lacks {missing}")
-    if not _is_int(meta["step"]):
-        raise ValueError(f"checkpoint {path} meta step must be an integer, got {meta['step']!r}")
+    if not (_is_int(meta["step"]) and meta["step"] >= 0):
+        raise ValueError(
+            f"checkpoint {path} meta step must be an integer >= 0, got {meta['step']!r}"
+        )
 
 
 def load_checkpoint(path):
@@ -260,7 +262,7 @@ def train(config: TrainConfig, cases, out_dir, resume_from=None) -> TrainResult:
         state = AdamState.init_like(graph.params)
     else:
         graph, state, saved = load_checkpoint(resume_from)
-        for key in ("variant", "depth", "base_channels"):
+        for key in META_FIELDS:
             have, want = getattr(saved, key), getattr(config, key)
             if have != want:
                 raise TrainingError(

@@ -332,6 +332,7 @@ class TestCorruptCheckpoint:
         assert err.startswith("error:")
         assert "Traceback" not in err
         assert name is None or repr(name) in err
+        return err
 
     @pytest.mark.parametrize("command", ["eval", "infer"])
     @pytest.mark.parametrize("corrupt", [_drop_meta, _drop_variant, _drop_entries, _drop_shape,
@@ -345,6 +346,13 @@ class TestCorruptCheckpoint:
         name = corrupt(manifest)
         self._assert_exit_1(data_dir, tmp_path, capsys, command, manifest,
                             (trained_run / "checkpoint.bin").read_bytes(), name)
+
+    def test_negative_adam_step_exit_1(self, data_dir, trained_run, tmp_path, capsys):
+        manifest = json.loads((trained_run / "checkpoint.json").read_text())
+        manifest["meta"]["step"] = -3
+        err = self._assert_exit_1(data_dir, tmp_path, capsys, "eval", manifest,
+                                  (trained_run / "checkpoint.bin").read_bytes())
+        assert str(tmp_path / "ck") in err and "step" in err
 
     @pytest.mark.parametrize("command", ["eval", "infer"])
     @pytest.mark.parametrize("edit", ["prepend", "append", "truncate"])

@@ -274,6 +274,26 @@ class TestInitialization:
             h.update(t.data.astype("<f4").tobytes())
         assert h.hexdigest() == self.CONSTRUCTION_SHA256[variant]
 
+    # Forward outputs of TestPredict.perturbed graphs on phantom 0, main
+    # probabilities then any branch probabilities: these digests pin the
+    # values every variant computes, not only its initial parameters.
+    FORWARD_SHA256 = {
+        "MMTSN": "435386f32bae2c313518a04fa155d95add7d14dc6f0e6126676a867d0cf9718c",
+        "UNET_PRE": "8e834aeedc4f99bb5c1e24ef369274546302e860f953e301156523b5e91e8987",
+        "UNET_POST": "4aabb38b6d91adc3ba37eac0e6b0e65c44bee21288f4442424f8cf58df3a55cf",
+        "MMTSN_NO_SCFB": "3d75376b94533355fc079a926f90330b06cb5fa20eff691a27c3975d4839de64",
+    }
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_forward_outputs_pinned(self, variant):
+        patch, _ = phantom_patch()
+        out = TestPredict.perturbed(variant, depth=3).forward(patch)
+        h = hashlib.sha256()
+        for prob in (out.main_probs, out.wt_prob, out.tc_prob, out.et_prob):
+            if prob is not None:
+                h.update(prob.data.astype("<f4").tobytes())
+        assert h.hexdigest() == self.FORWARD_SHA256[variant]
+
     @pytest.mark.parametrize("variant", ["MMTSN", "UNET_PRE", "UNET_POST", "MMTSN_NO_SCFB"])
     def test_param_count_matches_declared_shapes(self, variant):
         cfg = ModelConfig(depth=3, base_channels=8)

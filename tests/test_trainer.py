@@ -209,6 +209,14 @@ class TestCheckpointing:
             train(tiny_config(variant="MMTSN"), phantom_cases(), tmp_path / "run",
                   resume_from=tmp_path / "ck")
 
+    def test_seed_mismatch_rejected(self, tmp_path):
+        # the seed fixes patch order and augmentation draws, so a resumed run
+        # under another seed would not continue the saved one
+        part = train(tiny_config(steps=2), phantom_cases(), tmp_path / "part")
+        with pytest.raises(TrainingError, match="seed"):
+            train(tiny_config(steps=4, seed=9), phantom_cases(), tmp_path / "run",
+                  resume_from=part.checkpoint_path)
+
 
 class TestConfigSerialization:
     def test_roundtrip(self):
