@@ -16,10 +16,17 @@ plane, in which each kernel tap is a fixed column shift, so the forward pass
 and both gradients are sums of GEMMs on contiguous column slices. The kernel
 gradient is one GEMM per tap; the channels per tap alone pick whether the
 forward pass and the input gradient copy their taps into fixed-size im2col
-tiles or loop over them (see `conv3d`).
+tiles or loop over them (see `conv3d`). Every tile is copied into one shared
+workspace, allocated on first use and never shrunk, so a small convolution
+does not map and fault in fresh memory on every call.
+
+`grad_check` evaluates its central differences under `no_grad`: the same
+forward values, and no graph.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -368,29 +375,50 @@ def concat_channels(inputs):
 _TILE_CHANNELS = 16
 _TILE_BYTES = 512 << 10
 
+# The one float64 buffer every im2col tile is copied into, allocated on first
+# use and grown to the largest tile asked for, never shrunk. A fresh array per
+# tile is handed back to the kernel when freed and faulted in again by the next
+# conv, which costs small convs several times their arithmetic. Sharing it makes
+# `_correlate` non-reentrant; results never point into it.
+_workspace = None
+
+
+def _tile(shape):
+    """A C-contiguous float64 view of `shape` at the start of `_workspace`."""
+    global _workspace
+    n = math.prod(shape)
+    if _workspace is None or _workspace.size < n:
+        _workspace = np.empty(n)
+    return _workspace[:n].reshape(shape)
+
+
+def _view(base, shape, strides, offset=0):
+    """An uncopied view of the C-contiguous array `base` starting `offset`
+    elements in; builds it directly, which is cheaper than `as_strided`."""
+    return np.ndarray(shape, base.dtype, base, offset * base.itemsize, strides)
+
 
 def _taps(src, span, kshape, plane, row):
-    """Uncopied kd×kh×kw×rows×span column windows of a flat padded map `src`:
-    tap (i, j, k) is `src[:, s:s + span]` with s = i·plane + j·row + k."""
+    """Uncopied kd×kh×kw×rows×span column windows of a C-contiguous flat padded
+    map `src`: tap (i, j, k) is `src[:, s:s + span]` with s = i·plane + j·row + k."""
     rs, cs = src.strides
-    return np.lib.stride_tricks.as_strided(
-        src,
-        shape=(*kshape, src.shape[0], span),
-        strides=(plane * cs, row * cs, cs, rs, cs),
-        writeable=False,
-    )
+    return _view(src, (*kshape, src.shape[0], span), (plane * cs, row * cs, cs, rs, cs))
 
 
 def _correlate(k, taps):
-    """Sum over taps t of `k[:, :, t] @ taps[t]`: an O × span float64 array."""
+    """Sum over taps t of `k[:, :, t] @ taps[t]`: an O × span float64 array.
+
+    Not reentrant: the im2col tiles live in the shared `_workspace`."""
     o, span = k.shape[0], taps.shape[-1]
     out = np.zeros((o, span))
     if taps.shape[3] <= _TILE_CHANNELS:
         kmat = k.transpose(0, 2, 3, 4, 1).reshape(o, -1)
         cols = max(1, _TILE_BYTES // kmat[0].nbytes)
         for a in range(0, span, cols):
-            tile = taps[..., a : a + cols].reshape(kmat.shape[1], -1)
-            np.matmul(kmat, tile, out=out[:, a : a + cols])
+            window = taps[..., a : a + cols]
+            tile = _tile(window.shape)
+            np.copyto(tile, window)
+            np.matmul(kmat, tile.reshape(kmat.shape[1], -1), out=out[:, a : a + cols])
         return out
     ktaps = np.ascontiguousarray(k.transpose(2, 3, 4, 0, 1))
     for t in np.ndindex(*ktaps.shape[:3]):
@@ -406,14 +434,11 @@ def _kernel_grad(g, taps, kshape):
     return gk.transpose(3, 4, 0, 1, 2)
 
 
-def _grid(flat, extents, plane, row):
-    """Voxels of a flat map: (z, y, x) is column z·plane + y·row + x."""
+def _grid(flat, extents, plane, row, lead=0):
+    """Voxels of a C-contiguous flat map: (z, y, x) is column
+    lead + z·plane + y·row + x."""
     rs, cs = flat.strides
-    return np.lib.stride_tricks.as_strided(
-        flat,
-        shape=(flat.shape[0], *extents),
-        strides=(rs, plane * cs, row * cs, cs),
-    )
+    return _view(flat, (flat.shape[0], *extents), (rs, plane * cs, row * cs, cs), lead)
 
 
 def _layout(a, kshape):
@@ -430,7 +455,7 @@ def _layout(a, kshape):
     lead = pd * plane + ph * row + pw
     # the last tap of the last voxel reads the final element of the d + pd planes
     flat = np.zeros((c, lead + (d + pd) * plane))
-    _grid(flat[:, lead:], (d, h, w), plane, row)[...] = a
+    _grid(flat, (d, h, w), plane, row, lead)[...] = a
     return flat, lead, plane, row
 
 
@@ -566,9 +591,11 @@ def grad_check(f, x, step=1e-3):
     x.zero_grad()
     needed_grad = x.requires_grad
     x.requires_grad = True
-    f(x).backward()
-    analytic = x.grad.astype(np.float64).reshape(-1).copy()
-    x.requires_grad = needed_grad
+    try:
+        f(x).backward()
+        analytic = x.grad.astype(np.float64).reshape(-1).copy()
+    finally:
+        x.requires_grad = needed_grad
     x.zero_grad()
 
     flat = x.data.reshape(-1)
@@ -578,16 +605,21 @@ def grad_check(f, x, step=1e-3):
 
 def _central_differences(value, flat, coords, step):
     """(value() at +step − value() at −step) / (2·step) for each coordinate of
-    `flat`, a view that `value` reads; every entry is restored afterwards."""
+    `flat`, a view that `value` reads; every entry is restored afterwards, also
+    when `value` raises. `value` runs under `no_grad`: its forward values are
+    the same, and it records no graph that nothing would walk."""
     numeric = np.zeros(len(coords))
-    for n, i in enumerate(coords):
-        orig = flat[i]
-        flat[i] = orig + step
-        up = value()
-        flat[i] = orig - step
-        down = value()
-        flat[i] = orig
-        numeric[n] = (up - down) / (2.0 * step)
+    with no_grad():
+        for n, i in enumerate(coords):
+            orig = flat[i]
+            try:
+                flat[i] = orig + step
+                up = value()
+                flat[i] = orig - step
+                down = value()
+            finally:
+                flat[i] = orig
+            numeric[n] = (up - down) / (2.0 * step)
     return numeric
 
 

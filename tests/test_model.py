@@ -1,11 +1,15 @@
 import hashlib
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import mmtseg.model
-from mmtseg.gradcheck import model_check, scfb_checks
+from mmtseg.gradcheck import model_check, run_suite, scfb_checks
 from mmtseg.losses import LossWeights, total_loss
 from mmtseg.model import (
     SCFB,
@@ -294,6 +298,17 @@ class TestInitialization:
                 h.update(prob.data.astype("<f4").tobytes())
         assert h.hexdigest() == self.FORWARD_SHA256[variant]
 
+    # Name, repr of the error and repr of the bound of every check of
+    # `run_suite(0)`, one line each: pins the suite's checks, their order,
+    # their inputs and every value the engine computes for them.
+    SUITE_SHA256 = "eb2de8a55604f714192b43ad39b50773634827b7c29c7ce61e9fb049e0b5c7d2"
+
+    def test_gradcheck_suite_pinned(self):
+        h = hashlib.sha256()
+        for r in run_suite(0):
+            h.update(f"{r.name}\t{r.max_err!r}\t{r.tol!r}\n".encode("ascii"))
+        assert h.hexdigest() == self.SUITE_SHA256
+
     @pytest.mark.parametrize("variant", ["MMTSN", "UNET_PRE", "UNET_POST", "MMTSN_NO_SCFB"])
     def test_param_count_matches_declared_shapes(self, variant):
         cfg = ModelConfig(depth=3, base_channels=8)
@@ -306,6 +321,41 @@ class TestFullModelGradient:
     def test_tiny_model_passes_loose_bound(self):
         result = model_check(seed=0, coords_per_tensor=3)
         assert result.passed, result.line()
+
+
+# 20 forward passes of the tiny MMTSN that `model_check` differentiates,
+# after one warm-up pass; prints the minor page faults they took.
+FAULT_PROBE = """
+import resource
+from mmtseg.model import ModelConfig, build_model
+from mmtseg.phantom import generate_phantom
+from mmtseg.pipeline import normalize
+
+vol, _ = generate_phantom(0, (16, 16, 16))
+patch = normalize(vol).data[:, 4:12, 4:12, 4:12]
+graph = build_model("MMTSN", ModelConfig(depth=2, base_channels=2), seed=0)
+graph.forward(patch)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    graph.forward(patch)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="minor fault counts are Linux-specific")
+class TestPageFaults:
+    def test_small_forward_passes_reuse_memory(self):
+        # A conv that allocates a fresh im2col tile per call faults it in
+        # anew each time: 1,100-7,700 faults, by the allocator's history. A
+        # fresh interpreter, because what earlier tests leave behind in the
+        # allocator can hide them.
+        pytest.importorskip("resource")
+        src = str(Path(mmtseg.model.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+        run = subprocess.run([sys.executable, "-c", FAULT_PROBE], env=env,
+                             capture_output=True, text=True, check=True, timeout=120)
+        assert int(run.stdout) < 1000
 
 
 class TestCheckpointBlobs:

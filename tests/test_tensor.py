@@ -157,6 +157,26 @@ class TestConv3d:
             for got, want in zip((out.data, xt.grad, kt.grad, bt.grad), ref):
                 np.testing.assert_allclose(got, np.asarray(want), rtol=2.0**-23, atol=1e-12)
 
+    def test_workspace_never_leaks_into_results(self, rng, monkeypatch):
+        def run(xshape, kshape):
+            x, k = rand_tensor(rng, xshape), rand_tensor(rng, kshape)
+            b = rand_tensor(rng, (kshape[0],))
+            out = conv3d(x, k, b)
+            weighted_sum(out, np.random.default_rng(0)).backward()
+            return out.data, x.grad, k.grad, b.grad
+
+        results = run((3, 6, 5, 4), (2, 3, 3, 3, 3))
+        kept = [r.copy() for r in results]
+        run((4, 4, 4, 4), (5, 4, 3, 1, 3))  # other tile rows and columns
+        for r, want in zip(results, kept):
+            assert np.array_equal(r, want)
+        # one tile for the whole span grows the workspace
+        monkeypatch.setattr(mmtseg.tensor, "_TILE_BYTES", 1 << 30)
+        run((2, 7, 6, 5), (3, 2, 3, 3, 3))
+        for r, want in zip(results, kept):
+            assert np.array_equal(r, want)
+            assert not np.shares_memory(r, mmtseg.tensor._workspace)
+
     def test_input_gradient_skipped_without_requires_grad(self, rng):
         x = rand_tensor(rng, (2, 4, 4, 4), requires_grad=False)
         k = rand_tensor(rng, (3, 2, 3, 3, 3))
@@ -514,3 +534,31 @@ class TestDeterminismAndChecks:
         x = Tensor(np.array([-8.0, 8.0, 0.5], dtype=np.float32), requires_grad=True)
         err = grad_check(lambda t: tensor_sum(sigmoid(t)), x)
         assert err < 1e-2
+
+    def test_central_differences_restore_entry_when_value_raises(self):
+        flat = np.array([0.1, -0.7], dtype=np.float32)
+        kept = flat.tobytes()
+        for fail_at in (1, 2):  # while probing +step, then −step
+            calls = []
+
+            def value():
+                calls.append(None)
+                if len(calls) == fail_at:
+                    raise RuntimeError("probe failed")
+                return float(flat.sum())
+
+            with pytest.raises(RuntimeError):
+                mmtseg.tensor._central_differences(value, flat, [1], 1e-3)
+            assert flat.tobytes() == kept
+
+    def test_grad_check_restores_requires_grad_when_f_raises(self, rng):
+        x = rand_tensor(rng, (2, 2, 2, 2), requires_grad=False)
+        kept = x.data.tobytes()
+
+        def f(t):
+            raise RuntimeError("objective failed")
+
+        with pytest.raises(RuntimeError):
+            grad_check(f, x)
+        assert x.requires_grad is False
+        assert x.data.tobytes() == kept
