@@ -4,10 +4,17 @@ block, and a whole tiny model.
 Per-op and fusion-block checks probe every coordinate at step 1e-3 against
 a 1e-3 bound. The whole-model check samples seeded coordinates from every
 parameter tensor and uses a looser 1e-2 bound to absorb composition depth.
+
+The whole-model check's central differences re-run only the part of the
+net a perturbed parameter feeds and reuse the rest from one unperturbed
+pass (`staged_objective`). Every op depends only on its operands, and each
+perturbed entry is restored bit for bit, so every staged value is bitwise
+the one a full forward pass gives.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +26,7 @@ from .losses import (
     soft_dice_loss,
     spatial_constraint_loss,
 )
-from .model import SCFB, ModelConfig, ParamStore, build_model
+from .model import BRANCH_MODALITIES, SCFB, ForwardOutputs, ModelConfig, ParamStore, build_model
 from .phantom import derive_regions, generate_phantom
 from .pipeline import normalize
 
@@ -47,9 +54,22 @@ def _rand(rng, shape, lo=-1.0, hi=1.0):
     return T.Tensor(rng.uniform(lo, hi, shape).astype(np.float32), requires_grad=True)
 
 
-def _probe(t, seed):
-    w = T.Tensor(np.random.default_rng(seed).choice([-1.0, 1.0], t.data.shape).astype(np.float32))
-    return T.tensor_sum(T.mul_broadcast(t, w))
+def _probe(seed):
+    """Objective of one check: a ±1-weighted sum of its op's output.
+
+    The weights depend only on `seed` and the output's shape, so they are
+    drawn once, on the first call, and reused by every evaluation after it.
+    """
+    w = None
+
+    def probe(t):
+        nonlocal w
+        if w is None:
+            w = T.Tensor(np.random.default_rng(seed).choice([-1.0, 1.0], t.data.shape)
+                         .astype(np.float32))
+        return T.tensor_sum(T.mul_broadcast(t, w))
+
+    return probe
 
 
 def op_checks(seed=0):
@@ -57,49 +77,49 @@ def op_checks(seed=0):
     rng = np.random.default_rng(seed)
     results = []
 
-    def run(name, f, x, tol=OP_TOL):
-        results.append(CheckResult(name, T.grad_check(f, x, step=STEP), tol))
+    def run(name, f, x, probe_seed):
+        probe = _probe(probe_seed)
+        err = T.grad_check(lambda t: probe(f(t)), x, step=STEP)
+        results.append(CheckResult(name, err, OP_TOL))
 
-    # modest output counts keep float32 forward rounding well under the bound
+    # in the float32 forward pass, modest output counts keep rounding well
+    # under the bound
     x = _rand(rng, (2, 3, 3, 3))
     k = _rand(rng, (2, 2, 3, 3, 3))
     b = _rand(rng, (2,))
-    run("conv3d/input", lambda t: _probe(T.conv3d(t, k, b), 10), x)
-    run("conv3d/kernel", lambda t: _probe(T.conv3d(x, t, b), 11), k)
-    run("conv3d/bias", lambda t: _probe(T.conv3d(x, k, t), 12), b)
+    run("conv3d/input", lambda t: T.conv3d(t, k, b), x, 10)
+    run("conv3d/kernel", lambda t: T.conv3d(x, t, b), k, 11)
+    run("conv3d/bias", lambda t: T.conv3d(x, k, t), b, 12)
 
     # keep relu inputs away from its kink
     mag = rng.uniform(0.2, 1.0, (2, 3, 3, 3)) * rng.choice([-1, 1], (2, 3, 3, 3))
-    run("relu", lambda t: _probe(T.relu(t), 14), T.Tensor(mag.astype(np.float32), requires_grad=True))
-    run("sigmoid", lambda t: _probe(T.sigmoid(t), 15), _rand(rng, (2, 3, 3, 3)))
-    run("softmax_channels", lambda t: _probe(T.softmax_channels(t), 16), _rand(rng, (4, 3, 3, 3)))
-    run("global_avg_pool", lambda t: _probe(T.global_avg_pool(t), 17), _rand(rng, (3, 3, 3, 3)))
-    run("max_pool3d", lambda t: _probe(T.max_pool3d(t), 18), _rand(rng, (2, 4, 4, 4)))
-    run("nearest_upsample", lambda t: _probe(T.nearest_upsample(t), 19), _rand(rng, (2, 2, 2, 2)))
+    run("relu", T.relu, T.Tensor(mag.astype(np.float32), requires_grad=True), 14)
+    run("sigmoid", T.sigmoid, _rand(rng, (2, 3, 3, 3)), 15)
+    run("softmax_channels", T.softmax_channels, _rand(rng, (4, 3, 3, 3)), 16)
+    run("global_avg_pool", T.global_avg_pool, _rand(rng, (3, 3, 3, 3)), 17)
+    run("max_pool3d", T.max_pool3d, _rand(rng, (2, 4, 4, 4)), 18)
+    run("nearest_upsample", T.nearest_upsample, _rand(rng, (2, 2, 2, 2)), 19)
 
     a = _rand(rng, (2, 3, 3, 3))
     other = _rand(rng, (2, 3, 3, 3))
-    run("add", lambda t: _probe(T.add(t, other), 20), a)
-    run("mul/equal", lambda t: _probe(T.mul_broadcast(t, other), 21), a)
+    run("add", lambda t: T.add(t, other), a, 20)
+    run("mul/equal", lambda t: T.mul_broadcast(t, other), a, 21)
     wc = _rand(rng, (2, 1, 1, 1))
-    run("mul/channel-weight", lambda t: _probe(T.mul_broadcast(a, t), 22), wc)
+    run("mul/channel-weight", lambda t: T.mul_broadcast(a, t), wc, 22)
     ws = _rand(rng, (1, 3, 3, 3))
-    run("mul/spatial-weight", lambda t: _probe(T.mul_broadcast(a, t), 23), ws)
+    run("mul/spatial-weight", lambda t: T.mul_broadcast(a, t), ws, 23)
 
     cpart = _rand(rng, (2, 3, 3, 3))
-    run(
-        "concat_channels",
-        lambda t: _probe(T.concat_channels([t, other]), 24),
-        cpart,
-    )
-    run("slice_channels", lambda t: _probe(T.slice_channels(t, 1, 3), 25), _rand(rng, (4, 3, 3, 3)))
+    run("concat_channels", lambda t: T.concat_channels([t, other]), cpart, 24)
+    run("slice_channels", lambda t: T.slice_channels(t, 1, 3), _rand(rng, (4, 3, 3, 3)), 25)
 
     pos = _rand(rng, (2, 3, 3, 3), lo=0.1, hi=1.0)
-    run(
-        "sum-div composite",
+    err = T.grad_check(
         lambda t: T.tensor_sum(T.mul_broadcast(t, other)) / (T.tensor_sum(t) + 5.0),
         pos,
+        step=STEP,
     )
+    results.append(CheckResult("sum-div composite", err, OP_TOL))
     return results
 
 
@@ -113,20 +133,23 @@ def scfb_checks(seed=0):
     # grad_check perturbs the tensor it is handed in place, and the block
     # reads the live parameter objects, so the closure ignores its argument
     results = []
+    probe = _probe(30)
     for name, param in store.params.items():
-        err = T.grad_check(lambda _: _probe(block(parts), 30), param, step=STEP)
+        err = T.grad_check(lambda _: probe(block(parts)), param, step=STEP)
         results.append(CheckResult(f"scfb/{name}", err, OP_TOL))
-    err = T.grad_check(lambda _: _probe(block(parts), 31), parts[0], step=STEP)
+    probe = _probe(31)
+    err = T.grad_check(lambda _: probe(block(parts)), parts[0], step=STEP)
     results.append(CheckResult("scfb/input", err, OP_TOL))
     return results
 
 
-def model_check(seed=0, coords_per_tensor=8):
-    """Sampled finite-difference check of a whole tiny model's parameters.
+def tiny_mmtsn(seed):
+    """The whole-model check's inputs: a depth-2, base-2 MMTSN, an 8³ patch
+    of a 16³ phantom, and its probe objective of `ForwardOutputs`.
 
-    The probe objective composes every loss term with full two-sided
-    gradients (the training objective detaches the containment outer side
-    on purpose, which a finite-difference comparison would flag).
+    The objective composes every loss term with full two-sided gradients
+    (the training objective detaches the containment outer side on purpose,
+    which a finite-difference comparison would flag).
     """
     vol, labels = generate_phantom(seed, (16, 16, 16))
     patch = normalize(vol).data[:, 4:12, 4:12, 4:12]
@@ -135,8 +158,7 @@ def model_check(seed=0, coords_per_tensor=8):
     w = LossWeights()
     graph = build_model("MMTSN", ModelConfig(depth=2, base_channels=2), seed=seed)
 
-    def loss_value():
-        out = graph.forward(patch)
+    def objective(out):
         total = multiclass_dice_loss(out.main_probs, lbl)
         total = total + w.lambda_wt * soft_dice_loss(out.wt_prob, regions.wt[np.newaxis])
         total = total + w.lambda_tc * soft_dice_loss(out.tc_prob, regions.tc[np.newaxis])
@@ -146,17 +168,89 @@ def model_check(seed=0, coords_per_tensor=8):
         )
         return total + w.lambda_sc * sc
 
+    return graph, patch, objective
+
+
+# stage, and the names of the parameters in it
+_STAGES = (
+    ("encoder", rf"branch_(?P<region>{'|'.join(BRANCH_MODALITIES)})\.enc\d+\.\w+"),
+    ("decoder", rf"branch_(?P<region>{'|'.join(BRANCH_MODALITIES)})\.(dec\d+|head)\.\w+"),
+    ("main", r"main\..+"),
+)
+
+
+def stage_of(name):
+    """(stage, region) of an MMTSN parameter: the part of the net it feeds.
+
+    `encoder`: a sub-branch encoder, read by that branch's decoder and by
+    the main branch; `decoder`: a sub-branch decoder or head; `main`: the
+    main branch, region None. A name in no stage, or in more than one,
+    raises, so a new parameter cannot be staged wrong unseen.
+    """
+    hits = [(stage, m.groupdict().get("region")) for stage, pattern in _STAGES
+            if (m := re.fullmatch(pattern, name))]
+    if len(hits) != 1:
+        raise ValueError(f"parameter {name!r} falls in {len(hits)} stages, expected one")
+    return hits[0]
+
+
+def staged_objective(graph, patch, objective):
+    """`value_of(name)`: a function giving the objective's value after a
+    change to parameter `name`, re-running only what that parameter reaches.
+
+    The sub-branch features and probabilities and the main-branch
+    probabilities are computed once, here; the parts a stage does not reach
+    are reused. While every other parameter keeps its present value,
+    `value_of(name)()` is bitwise `objective(graph.forward(patch)).item()`.
+    """
+    net = graph.net
+    with T.no_grad():
+        feats = net.encode(patch)
+        probs = {region: net.branch_prob(region, f) for region, f in feats.items()}
+        main = net.main_probs(patch, feats)
+
+    def value_of(name):
+        stage, region = stage_of(name)
+
+        def value():
+            f, p, m = feats, probs, main
+            if stage == "encoder":
+                f = {**feats, region: net.branches[region].encode(patch)}
+            if stage in ("encoder", "decoder"):
+                p = {**probs, region: net.branch_prob(region, f[region])}
+            if stage in ("encoder", "main"):
+                m = net.main_probs(patch, f)
+            out = ForwardOutputs(main_probs=m, **{f"{r}_prob": prob for r, prob in p.items()})
+            return objective(out).item()
+
+        return value
+
+    return value_of
+
+
+def model_check(seed=0, coords_per_tensor=8):
+    """Sampled finite-difference check of a whole tiny model's parameters.
+
+    The analytic gradients come from one backward pass over `graph.forward`.
+    Each central difference re-runs only the part of the net the perturbed
+    parameter feeds (`stage_of`) and reuses the rest from one unperturbed
+    pass (`staged_objective`). Ops depend only on their operands and each
+    perturbed entry is restored bit for bit, so every value is bitwise the
+    one a full forward pass gives.
+    """
+    graph, patch, objective = tiny_mmtsn(seed)
     graph.zero_grads()
-    loss_value().backward()
+    objective(graph.forward(patch)).backward()
     analytic = {name: t.grad.copy() for name, t in graph.params.items()}
     graph.zero_grads()
 
+    value_of = staged_objective(graph, patch, objective)
     rng = np.random.default_rng(seed + 99)
     worst = 0.0
     for name, param in graph.params.items():
         flat = param.data.reshape(-1)
         coords = rng.choice(flat.size, size=min(coords_per_tensor, flat.size), replace=False)
-        numeric = T._central_differences(lambda: loss_value().item(), flat, coords, STEP)
+        numeric = T._central_differences(value_of(name), flat, coords, STEP)
         worst = max(worst, T.max_rel_err(analytic[name].reshape(-1)[coords], numeric))
     return CheckResult("full-model (tiny MMTSN)", worst, MODEL_TOL)
 

@@ -208,7 +208,11 @@ class UNetSum:
 
 
 class FusedNet:
-    """Main branch whose encoder fuses sub-branch features at every scale."""
+    """Main branch whose encoder fuses sub-branch features at every scale.
+
+    `forward`, `predict` and the whole-model gradient check compose the
+    same parts: `encode`, `branch_prob` and `main_probs`.
+    """
 
     def __init__(self, store, depth, base, fusion_cls):
         self.branches = {
@@ -225,26 +229,31 @@ class FusedNet:
         self.decoder = Decoder(store, "main", NUM_CLASSES, depth, base)
 
     def predict(self, patch_np):
-        feats = [branch.encode(patch_np) for branch in self.branches.values()]
-        return softmax_channels(self._main_logits(patch_np, feats))
+        return self.main_probs(patch_np, self.encode(patch_np))
 
     def forward(self, patch_np):
-        feats = {region: branch.encode(patch_np) for region, branch in self.branches.items()}
-        probs = {region: sigmoid(self.branches[region].decoder(f)) for region, f in feats.items()}
-        return ForwardOutputs(
-            main_probs=softmax_channels(self._main_logits(patch_np, list(feats.values()))),
-            wt_prob=probs["wt"], tc_prob=probs["tc"], et_prob=probs["et"],
-        )
+        feats = self.encode(patch_np)
+        probs = {f"{region}_prob": self.branch_prob(region, f) for region, f in feats.items()}
+        return ForwardOutputs(main_probs=self.main_probs(patch_np, feats), **probs)
 
-    def _main_logits(self, patch_np, branch_feats):
-        """Main-branch logits, fusing `branch_feats` (wt, tc, et) at every scale."""
+    def encode(self, patch_np):
+        """Per-scale encoder features of every sub-branch, by region."""
+        return {region: branch.encode(patch_np) for region, branch in self.branches.items()}
+
+    def branch_prob(self, region, feats):
+        """Sigmoid probability of one sub-branch's region from its encoder features."""
+        return sigmoid(self.branches[region].decoder(feats))
+
+    def main_probs(self, patch_np, branch_feats):
+        """Main-branch class probabilities, fusing `branch_feats` (by region,
+        as `encode` returns them) with the main encoder at every scale."""
         fused = []
         h = Tensor(patch_np)
         for i, (conv, fusion) in enumerate(zip(self.enc, self.fusions)):
             own = relu(conv(max_pool3d(h) if i else h))
-            h = fusion([feats[i] for feats in branch_feats] + [own])
+            h = fusion([feats[i] for feats in branch_feats.values()] + [own])
             fused.append(h)
-        return self.decoder(fused)
+        return softmax_channels(self.decoder(fused))
 
 
 class ModelGraph:

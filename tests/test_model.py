@@ -9,7 +9,17 @@ import numpy as np
 import pytest
 
 import mmtseg.model
-from mmtseg.gradcheck import model_check, run_suite, scfb_checks
+import mmtseg.tensor
+from mmtseg.gradcheck import (
+    STEP,
+    model_check,
+    op_checks,
+    run_suite,
+    scfb_checks,
+    stage_of,
+    staged_objective,
+    tiny_mmtsn,
+)
 from mmtseg.losses import LossWeights, total_loss
 from mmtseg.model import (
     SCFB,
@@ -23,7 +33,7 @@ from mmtseg.model import (
 )
 from mmtseg.phantom import LabelVolume, derive_regions, generate_phantom
 from mmtseg.pipeline import normalize
-from mmtseg.tensor import ShapeError, Tensor
+from mmtseg.tensor import ShapeError, Tensor, no_grad
 from mmtseg.trainer import AdamState, TrainConfig, load_checkpoint, save_checkpoint
 
 
@@ -321,6 +331,81 @@ class TestFullModelGradient:
     def test_tiny_model_passes_loose_bound(self):
         result = model_check(seed=0, coords_per_tensor=3)
         assert result.passed, result.line()
+
+    def test_staged_objective_bitwise_equals_full_forward(self):
+        # The staged values feed every central difference; a stage that
+        # skips a part its parameter reaches can still pass the loose
+        # bound, so this equality is the gate for the staging.
+        graph, patch, objective = tiny_mmtsn(0)
+        value_of = staged_objective(graph, patch, objective)
+        stages = set()
+        for name, param in graph.params.items():
+            stages.add(stage_of(name))
+            value = value_of(name)
+            flat = param.data.reshape(-1)
+            orig = flat[0]
+            flat[0] = orig + STEP
+            try:
+                with no_grad():
+                    full = objective(graph.forward(patch)).item()
+                staged = value()
+            finally:
+                flat[0] = orig
+            assert staged == full, name
+        assert stages == {("main", None)} | {
+            (stage, r) for stage in ("encoder", "decoder") for r in ("wt", "tc", "et")
+        }
+
+    @pytest.mark.parametrize("name", [
+        "branch_xx.enc0.kernel", "branch_wt.up0.kernel", "main", "mainx.enc0.bias", "unet.enc0.kernel",
+    ])
+    def test_unstaged_parameter_name_raises(self, name):
+        with pytest.raises(ValueError, match="stages"):
+            stage_of(name)
+
+    def test_model_check_reruns_only_reached_parts(self, monkeypatch):
+        # the full forward pass per central difference made 12,168 convs
+        calls = []
+        conv = mmtseg.model.conv3d
+
+        def spy(*args, **kwargs):
+            calls.append(None)
+            return conv(*args, **kwargs)
+
+        monkeypatch.setattr(mmtseg.model, "conv3d", spy)
+        model_check(0)
+        assert len(calls) <= 6000
+
+
+class TestOpCoverage:
+    NOT_OPS = {"Tensor", "ShapeError", "set_debug_checks", "no_grad", "grad_check", "max_rel_err"}
+
+    def test_every_differentiable_op_runs_inside_a_check(self, monkeypatch):
+        ops = (set(mmtseg.tensor.__all__) - self.NOT_OPS) | {"div"}
+        ran = set()
+        inside = []
+
+        def spy_op(name, fn):
+            def spy(*args, **kwargs):
+                if inside:
+                    ran.add(name)
+                return fn(*args, **kwargs)
+            return spy
+
+        def spy_check(fn):
+            def spy(*args, **kwargs):
+                inside.append(None)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    inside.pop()
+            return spy
+
+        for name in ops:
+            monkeypatch.setattr(mmtseg.tensor, name, spy_op(name, getattr(mmtseg.tensor, name)))
+        monkeypatch.setattr(mmtseg.tensor, "grad_check", spy_check(mmtseg.tensor.grad_check))
+        op_checks(0)
+        assert ran == ops, sorted(ops - ran)
 
 
 # 20 forward passes of the tiny MMTSN that `model_check` differentiates,
