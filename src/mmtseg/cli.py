@@ -165,25 +165,23 @@ def _predict_labels(graph, patch_extents, volume):
     return probs_to_labels(reassemble(probs, grid))
 
 
-def _evaluate_cases(named_cases, predict_fn):
-    return [
-        (name, evaluate_volume(predict_fn(volume, labels), labels))
-        for name, volume, labels in named_cases
-    ]
-
-
 def _load_checkpoint(path):
     if not os.path.isfile(path + ".json"):
         raise UsageError(f"checkpoint not found: {path}")
     return load_checkpoint(path)
 
 
-def _report_payload(command, config_dict, seed, results):
-    reports = [r for _, r in results]
+def _report(command, config_dict, seed, named_cases, predict):
+    """Score `predict(volume, labels)` against the labels of every case: the
+    report payload of `eval` and `compare`."""
+    reports = {
+        name: evaluate_volume(predict(volume, labels), labels)
+        for name, volume, labels in named_cases
+    }
     return {
         "run": _run_manifest(command, config_dict, seed),
-        "cases": {name: asdict(r) for name, r in results},
-        "aggregates": aggregate_reports(reports),
+        "cases": {name: asdict(r) for name, r in reports.items()},
+        "aggregates": aggregate_reports(list(reports.values())),
     }
 
 
@@ -208,10 +206,9 @@ def cmd_eval(args):
         config_dict = config.to_dict()
         seed = config.seed
 
-    results = _evaluate_cases(named_cases, predict)
-    payload = _report_payload("eval", config_dict, seed, results)
+    payload = _report("eval", config_dict, seed, named_cases, predict)
     _write_json(args.report, payload)
-    print(f"evaluated {len(results)} cases; report at {args.report}")
+    print(f"evaluated {len(named_cases)} cases; report at {args.report}")
     return EXIT_OK
 
 
@@ -268,13 +265,12 @@ def cmd_compare(args):
         predict = lambda volume, labels, g=graph: _predict_labels(
             g, config.patch_extents, volume
         )
-        results = _evaluate_cases(named_cases, predict)
-        payload = _report_payload("compare", config.to_dict(), config.seed, results)
+        payload = _report("compare", config.to_dict(), config.seed, named_cases, predict)
         _write_json(os.path.join(run_dir, "report.json"), payload)
         means = {c: payload["aggregates"][c]["mean"] for c in TABLE_COLUMNS}
         values = {c: float("nan") if m is None else m for c, m in means.items()}
         table_rows.append((method, values))
-        print(f"{method}: trained {result.steps_run} steps, evaluated {len(results)} cases")
+        print(f"{method}: trained {result.steps_run} steps, evaluated {len(named_cases)} cases")
 
     table = _format_table(table_rows, base.seed)
     with open(os.path.join(args.out_dir, "table.txt"), "w", encoding="ascii") as fh:
@@ -358,6 +354,9 @@ def main(argv=None):
         return EXIT_USAGE
     except (TrainingError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as exc:
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return EXIT_RUNTIME
 
 

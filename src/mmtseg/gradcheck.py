@@ -2,7 +2,7 @@
 block, and a whole tiny model.
 
 Per-op and fusion-block checks probe every coordinate at step 1e-3 against
-a 1e-3 bound. The whole-model check samples seeded coordinates from every
+a 1e-3 bound. The whole-model check samples 8 seeded coordinates from every
 parameter tensor and uses a looser 1e-2 bound to absorb composition depth.
 
 The whole-model check's central differences re-run only the part of the
@@ -33,6 +33,7 @@ from .pipeline import normalize
 OP_TOL = 1e-3
 MODEL_TOL = 1e-2
 STEP = 1e-3
+COORDS_PER_TENSOR = 8  # whole-model check: coordinates sampled per parameter tensor
 
 
 @dataclass
@@ -228,7 +229,7 @@ def staged_objective(graph, patch, objective):
     return value_of
 
 
-def model_check(seed=0, coords_per_tensor=8):
+def model_check(seed=0):
     """Sampled finite-difference check of a whole tiny model's parameters.
 
     The analytic gradients come from one backward pass over `graph.forward`.
@@ -249,14 +250,14 @@ def model_check(seed=0, coords_per_tensor=8):
     worst = 0.0
     for name, param in graph.params.items():
         flat = param.data.reshape(-1)
-        coords = rng.choice(flat.size, size=min(coords_per_tensor, flat.size), replace=False)
+        coords = rng.choice(flat.size, size=min(COORDS_PER_TENSOR, flat.size), replace=False)
         numeric = T._central_differences(value_of(name), flat, coords, STEP)
         worst = max(worst, T.max_rel_err(analytic[name].reshape(-1)[coords], numeric))
     return CheckResult("full-model (tiny MMTSN)", worst, MODEL_TOL)
 
 
-def run_suite(seed=0, coords_per_tensor=8):
+def run_suite(seed=0):
     results = op_checks(seed)
     results.extend(scfb_checks(seed))
-    results.append(model_check(seed, coords_per_tensor))
+    results.append(model_check(seed))
     return results

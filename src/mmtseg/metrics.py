@@ -1,4 +1,5 @@
-"""Evaluation: region Dice, 95th-percentile surface distance, containment.
+"""Evaluation: region Dice, 95th-percentile surface distance, voxel counts,
+and the containment of one mask in another (used on the branch heads).
 
 HD95 pools the directed boundary-to-boundary Euclidean distances in both
 directions and takes the 95th percentile with linear interpolation, so it
@@ -137,12 +138,13 @@ def containment_violation(outer, inner) -> float:
 
 @dataclass
 class RegionReport:
-    """Per-volume metrics: one Dice/HD95 pair per region plus nesting audit."""
+    """Per-volume metrics, per region: Dice, HD95, and the predicted and true
+    voxel counts, whose ratio shows over- or under-segmentation."""
 
     dice: dict = field(default_factory=dict)
     hd95: dict = field(default_factory=dict)
-    containment_violation_wt_tc: float = 0.0
-    containment_violation_tc_et: float = 0.0
+    pred_voxels: dict = field(default_factory=dict)
+    true_voxels: dict = field(default_factory=dict)
 
 
 def evaluate_volume(pred_labels: LabelVolume, gt_labels: LabelVolume) -> RegionReport:
@@ -151,16 +153,15 @@ def evaluate_volume(pred_labels: LabelVolume, gt_labels: LabelVolume) -> RegionR
         raise ValueError(
             f"extent mismatch: {pred_labels.data.shape} vs {gt_labels.data.shape}"
         )
-    pred = derive_regions(pred_labels)
-    gt = derive_regions(gt_labels)
+    pred = derive_regions(pred_labels).as_dict()
+    gt = derive_regions(gt_labels).as_dict()
     report = RegionReport()
     for region in REGIONS:
-        p = pred.as_dict()[region]
-        g = gt.as_dict()[region]
+        p, g = pred[region], gt[region]
         report.dice[region] = dice_score(p, g)
         report.hd95[region] = hd95(p, g)
-    report.containment_violation_wt_tc = containment_violation(pred.wt, pred.tc)
-    report.containment_violation_tc_et = containment_violation(pred.tc, pred.et)
+        report.pred_voxels[region] = int(p.sum())
+        report.true_voxels[region] = int(g.sum())
     return report
 
 
@@ -187,11 +188,8 @@ def aggregate_reports(reports):
     Undefined HD95 entries are excluded from aggregation; the count of
     excluded cases is reported alongside.
     """
-    rows = {
+    return {
         f"{metric}_{region}": _summary([getattr(r, metric)[region] for r in reports])
-        for metric in ("dice", "hd95")
+        for metric in ("dice", "hd95", "pred_voxels", "true_voxels")
         for region in REGIONS
     }
-    for key in ("containment_violation_wt_tc", "containment_violation_tc_et"):
-        rows[key] = _summary([getattr(r, key) for r in reports])
-    return rows

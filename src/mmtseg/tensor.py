@@ -521,60 +521,54 @@ def conv3d(x, kernel, bias):
     return _make(out.astype(np.float32), [x, kernel, bias], backward)
 
 
-def max_pool3d(x, factor=2):
-    """Non-overlapping max pooling; spatial extents must divide by `factor`.
+def max_pool3d(x):
+    """Non-overlapping max pooling by 2 per spatial axis; extents must be even.
 
-    Ties: an output carries the bits of the first entry of its f³ block, in
+    Ties: an output carries the bits of the first entry of its 2³ block, in
     (dz, dy, dx) order, that equals the maximum (+0 or −0), and that entry
     alone gets the output's gradient.
     """
-    f = int(factor)
     if x.data.ndim != 4:
         raise ShapeError(f"max_pool3d needs C×D×H×W, got {x.data.shape}")
     c, d, h, w = x.data.shape
-    if d % f or h % f or w % f:
-        raise ShapeError(f"max_pool3d extents {x.data.shape[1:]} not divisible by {f}")
+    if d % 2 or h % 2 or w % 2:
+        raise ShapeError(f"max_pool3d extents {x.data.shape[1:]} not divisible by 2")
     # a dx×dy×dz×C×D'×H'×W' view, reduced over dx, then dy, then dz; on a tie
-    # np.maximum(cell, m) returns m, so each stage keeps the first maximum
-    stages = [x.data.reshape(c, d // f, f, h // f, f, w // f, f).transpose(6, 4, 2, 0, 1, 3, 5)]
+    # np.maximum(second, m) returns m, so each stage keeps the first maximum
+    stages = [x.data.reshape(c, d // 2, 2, h // 2, 2, w // 2, 2).transpose(6, 4, 2, 0, 1, 3, 5)]
     for _ in range(3):
-        first, *rest = stages[-1]
+        first, second = stages[-1]
         m = first.copy()
-        for cell in rest:
-            np.maximum(cell, m, out=m)
+        np.maximum(second, m, out=m)
         stages.append(m)
 
     def backward(g):
-        # per stage, the first cell equal to the maximum takes g, the later ones g − g = 0
+        # per stage, the first cell equal to the maximum takes g, the second g − g = 0
         g = g.astype(np.float32, copy=False)
         for a, m in zip(stages[2::-1], stages[:0:-1]):
             ga = np.empty_like(a)
-            *g_head, g_last = ga
-            for cell, g_cell in zip(a, g_head):
-                np.multiply(g, cell == m, out=g_cell)
-                g = g - g_cell
-            g_last[...] = g
+            np.multiply(g, a[0] == m, out=ga[0])
+            ga[1] = g - ga[0]
             g = ga
         return (g.transpose(3, 4, 2, 5, 1, 6, 0).reshape(c, d, h, w),)
 
     return _make(stages[-1], [x], backward)
 
 
-def nearest_upsample(x, factor=2):
-    """Nearest-neighbor upsampling by an integer factor per spatial axis."""
-    f = int(factor)
+def nearest_upsample(x):
+    """Nearest-neighbor upsampling by 2 per spatial axis."""
     if x.data.ndim != 4:
         raise ShapeError(f"nearest_upsample needs C×D×H×W, got {x.data.shape}")
     c, d, h, w = x.data.shape
-    out = np.repeat(np.repeat(np.repeat(x.data, f, axis=1), f, axis=2), f, axis=3)
+    out = np.repeat(np.repeat(np.repeat(x.data, 2, axis=1), 2, axis=2), 2, axis=3)
 
     def backward(g):
-        # fold the f copies along D, then H, then W with f - 1 adds each;
+        # fold the 2 copies along D, then H, then W with one add each;
         # the D and H folds add contiguous runs, not a strided reduction
         gx = g.astype(np.float64)
-        for run in (h * f * w * f, w * f, 1):
-            copies = gx.reshape(-1, f, run)
-            gx = sum((copies[:, i] for i in range(1, f)), copies[:, 0])
+        for run in (h * 2 * w * 2, w * 2, 1):
+            copies = gx.reshape(-1, 2, run)
+            gx = copies[:, 0] + copies[:, 1]
         return (gx.reshape(c, d, h, w),)
 
     return _make(out, [x], backward)

@@ -52,16 +52,18 @@ class TrainConfig:
         real = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
         positive = lambda v: real(v) and isfinite(v) and v > 0
         at_least = lambda v, lo: _is_int(v) and v >= lo
-        divisor = 2 ** (self.depth - 1) if at_least(self.depth, 2) else 1
+        # extents divide by 2^shift when their low `shift` bits are zero; the
+        # power itself is never formed, so a huge depth fails fast
+        shift = self.depth - 1 if at_least(self.depth, 2) else 0
         extents = self.patch_extents
         ranges = {
             "variant": (f"one of {VARIANTS}", self.variant in VARIANTS),
             "depth": ("an integer >= 2", at_least(self.depth, 2)),
             "base_channels": ("an integer >= 2", at_least(self.base_channels, 2)),
             "patch_extents": (
-                f"three positive integers divisible by {divisor} (2^(depth - 1))",
+                f"three positive integers divisible by 2^{shift} (2^(depth - 1))",
                 isinstance(extents, (list, tuple)) and len(extents) == 3
-                and all(at_least(e, 1) and e % divisor == 0 for e in extents),
+                and all(at_least(e, 1) and e >> shift << shift == e for e in extents),
             ),
             "seed": ("an integer >= 0", at_least(self.seed, 0)),
             "augment": ("true or false", isinstance(self.augment, bool)),

@@ -33,7 +33,7 @@ def report(criterion, detail):
 class TestCriterion1GradientSuite:
     def test_all_ops_and_model_pass_within_budget(self):
         t0 = time.time()
-        results = run_suite(seed=0, coords_per_tensor=8)
+        results = run_suite(seed=0)
         elapsed = time.time() - t0
         failures = [r.line() for r in results if not r.passed]
         assert not failures, failures

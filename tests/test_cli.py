@@ -127,6 +127,13 @@ class TestTrain:
         config = {"variant": "UNET_PRE", "depth": 2, "base_channels": 2, "steps": 1, **setting}
         self._assert_config_exit_2(data_dir, tmp_path, capsys, json.dumps(config))
 
+    # 2^(depth - 1) used to be formed: at this depth its 301,030 digits broke
+    # the error text, which named no field, and at 10^12 it ran out of memory
+    def test_huge_depth_names_the_field(self, data_dir, tmp_path, capsys):
+        config = {"variant": "UNET_PRE", "depth": 10**6, "steps": 1}
+        err = self._assert_config_exit_2(data_dir, tmp_path, capsys, json.dumps(config))
+        assert "patch_extents must be" in err
+
     # each used to train at weight 1 or print an error that named no field
     @pytest.mark.parametrize("value", [True, "x", None])
     def test_bad_loss_weight_exit_2(self, data_dir, tmp_path, capsys, value):
@@ -173,12 +180,12 @@ class TestEval:
         assert main(["eval", "--checkpoint", str(run / "checkpoint"),
                      "--data-dir", str(data_dir), "--report", str(report)]) == 0
         payload = json.loads(report.read_text())
+        metrics = ("dice", "hd95", "pred_voxels", "true_voxels")
+        assert sorted(payload["aggregates"]) == sorted(f"{m}_{r}" for m in metrics
+                                                       for r in ("wt", "tc", "et"))
         for key, row in payload["aggregates"].items():
-            if key.startswith(("dice_", "hd95_")):
-                metric, region = key.split("_")
-                values = [c[metric][region] for c in payload["cases"].values()]
-            else:
-                values = [c[key] for c in payload["cases"].values()]
+            metric, region = key.rsplit("_", 1)
+            values = [c[metric][region] for c in payload["cases"].values()]
             defined = [v for v in values if v is not None]
             if not defined:
                 assert row["mean"] is None
@@ -355,6 +362,14 @@ class TestCorruptCheckpoint:
         assert str(tmp_path / "ck") in err and "step" in err
 
     @pytest.mark.parametrize("command", ["eval", "infer"])
+    def test_huge_depth_names_the_field(self, data_dir, trained_run, tmp_path, capsys, command):
+        manifest = json.loads((trained_run / "checkpoint.json").read_text())
+        manifest["meta"]["depth"] = 10**6
+        err = self._assert_exit_1(data_dir, tmp_path, capsys, command, manifest,
+                                  (trained_run / "checkpoint.bin").read_bytes())
+        assert "patch_extents must be" in err
+
+    @pytest.mark.parametrize("command", ["eval", "infer"])
     @pytest.mark.parametrize("edit", ["prepend", "append", "truncate"])
     def test_blob_size_must_match_entries(self, data_dir, trained_run, tmp_path, capsys,
                                           command, edit):
@@ -401,6 +416,22 @@ class TestNonFiniteVolume:
                      "--data-dir", str(cases)] + out) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and img.name in err
+        assert "Traceback" not in err
+
+
+class TestOutOfMemory:
+    # a config of base_channels 100000 used to end in numpy's "Unable to
+    # allocate 3.93 TiB" traceback; the stub raises without allocating
+    @pytest.mark.parametrize("exc", [MemoryError("Unable to allocate 3.93 TiB"), MemoryError()])
+    def test_exit_1_with_error_line(self, data_dir, tmp_path, capsys, monkeypatch, exc):
+        def train(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(mmtseg.cli, "train", train)
+        capsys.readouterr()
+        assert main(["train", "--data-dir", str(data_dir), "--out-dir", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and str(exc) in err
         assert "Traceback" not in err
 
 

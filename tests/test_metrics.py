@@ -231,8 +231,7 @@ class TestEvaluateVolume:
         for region in ("wt", "tc", "et"):
             assert report.dice[region] == 1.0
             assert report.hd95[region] == 0.0
-        assert report.containment_violation_wt_tc == 0.0
-        assert report.containment_violation_tc_et == 0.0
+            assert report.pred_voxels[region] == report.true_voxels[region] > 0
 
     def test_all_background_prediction(self):
         _, labels = generate_phantom(4, (16, 16, 16))
@@ -241,6 +240,8 @@ class TestEvaluateVolume:
         for region in ("wt", "tc", "et"):
             assert report.dice[region] == 0.0
             assert report.hd95[region] is None
+            assert report.pred_voxels[region] == 0
+            assert report.true_voxels[region] > 0
 
     def test_random_label_pair_matches_oracle(self):
         r = np.random.default_rng(77)
@@ -253,6 +254,8 @@ class TestEvaluateVolume:
         for region in ("wt", "tc", "et"):
             p, g = pr.as_dict()[region], gr.as_dict()[region]
             assert report.dice[region] == oracle_dice(p, g)
+            assert (report.pred_voxels[region], report.true_voxels[region]) == (
+                int(p.sum()), int(g.sum()))
             expected = oracle_hd95(p, g)
             if expected is None:
                 assert report.hd95[region] is None

@@ -329,7 +329,7 @@ class TestInitialization:
 
 class TestFullModelGradient:
     def test_tiny_model_passes_loose_bound(self):
-        result = model_check(seed=0, coords_per_tensor=3)
+        result = model_check(seed=0)
         assert result.passed, result.line()
 
     def test_staged_objective_bitwise_equals_full_forward(self):
