@@ -91,7 +91,7 @@ def _load_config(path, overrides):
         with open(path, "r", encoding="utf-8") as fh:
             try:
                 data = json.load(fh)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
                 raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise UsageError(f"config file {path} holds a {type(data).__name__}, not an object")

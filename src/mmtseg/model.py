@@ -361,6 +361,8 @@ def load_blob(path):
         if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
             raise ValueError(f"checkpoint entry {entry['name']!r}: shape {shape!r} is not "
                              "a list of non-negative integers")
+        if entry["name"] in named:
+            raise ValueError(f"checkpoint entry {entry['name']!r} is listed twice")
         if type(offset) is not int or offset != end:
             raise ValueError(f"checkpoint entry {entry['name']!r}: offset {offset!r}, "
                              f"expected {end} (entries must be contiguous from 0)")

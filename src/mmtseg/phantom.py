@@ -12,6 +12,7 @@ Label codes: 0 background, 1 necrotic/non-enhancing core, 2 edema,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,11 +212,13 @@ def _read_array(path):
             shape = tuple(int(p) for p in parts[1:5])
         except ValueError:
             raise VolumeFormatError(f"{path}: non-integer extents in header") from None
+        if any(n < 0 for n in shape):
+            raise VolumeFormatError(f"{path}: negative extents {shape} in header")
         if parts[5] not in _DTYPES:
             raise VolumeFormatError(f"{path}: unknown dtype {parts[5]!r}")
         dtype = _DTYPES[parts[5]]
         payload = fh.read()
-    expected = int(np.prod(shape)) * dtype.itemsize
+    expected = math.prod(shape) * dtype.itemsize
     if len(payload) != expected:
         raise VolumeFormatError(
             f"{path}: payload is {len(payload)} bytes, header implies {expected}"

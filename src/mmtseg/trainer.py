@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass, field
-from math import isfinite
 
 import numpy as np
 
@@ -35,22 +34,13 @@ class TrainConfig:
     depth: int = 3
     base_channels: int = 8
     weights: LossWeights = field(default_factory=LossWeights)
-    learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     steps: int = 300
     seed: int = 0
-    grad_clip_norm: float | None = 5.0  # None disables clipping
     augment: bool = False
     checkpoint_interval: int = 100  # 0 = final checkpoint only
 
     def __post_init__(self):
-        # every run setting is checked here, before any data is read; out of
-        # these ranges Adam or clipping silently wrecks the run (NaN
-        # parameters for beta1 = 1, gradient ascent for a negative clip norm)
-        real = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
-        positive = lambda v: real(v) and isfinite(v) and v > 0
+        # every run setting is checked here, before any data is read
         at_least = lambda v, lo: _is_int(v) and v >= lo
         # extents divide by 2^shift when their low `shift` bits are zero; the
         # power itself is never formed, so a huge depth fails fast
@@ -67,12 +57,6 @@ class TrainConfig:
             ),
             "seed": ("an integer >= 0", at_least(self.seed, 0)),
             "augment": ("true or false", isinstance(self.augment, bool)),
-            "learning_rate": ("finite and > 0", positive(self.learning_rate)),
-            "beta1": ("in [0, 1)", real(self.beta1) and 0 <= self.beta1 < 1),
-            "beta2": ("in [0, 1)", real(self.beta2) and 0 <= self.beta2 < 1),
-            "adam_eps": ("finite and > 0", positive(self.adam_eps)),
-            "grad_clip_norm": ("null or finite and > 0",
-                               self.grad_clip_norm is None or positive(self.grad_clip_norm)),
             "steps": ("an integer >= 1", at_least(self.steps, 1)),
             "checkpoint_interval": ("an integer >= 0", at_least(self.checkpoint_interval, 0)),
         }
@@ -116,8 +100,16 @@ class AdamState:
         )
 
 
-def adam_step(params, state: AdamState, config: TrainConfig):
-    """One Adam update with bias correction; gradients are consumed."""
+# Adam at the Kingma & Ba defaults, after clipping the global gradient norm
+LEARNING_RATE = 1e-3
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
+GRAD_CLIP_NORM = 5.0
+
+
+def adam_step(params, state: AdamState):
+    """One clipped Adam update with bias correction; gradients are consumed."""
     grads = {}
     for name, p in params.items():
         g = p.grad if p.grad is not None else np.zeros_like(p.data)
@@ -125,25 +117,24 @@ def adam_step(params, state: AdamState, config: TrainConfig):
             raise TrainingError(f"non-finite gradient in parameter {name!r}")
         grads[name] = g
 
-    if config.grad_clip_norm is not None:
-        norm = float(np.sqrt(sum(float(np.sum(g.astype(np.float64) ** 2)) for g in grads.values())))
-        if norm > config.grad_clip_norm:
-            scale = np.float32(config.grad_clip_norm / norm)
-            grads = {k: g * scale for k, g in grads.items()}
+    norm = float(np.sqrt(sum(float(np.sum(g.astype(np.float64) ** 2)) for g in grads.values())))
+    if norm > GRAD_CLIP_NORM:
+        scale = np.float32(GRAD_CLIP_NORM / norm)
+        grads = {k: g * scale for k, g in grads.items()}
 
     state.step += 1
-    bc1 = 1.0 - config.beta1**state.step
-    bc2 = 1.0 - config.beta2**state.step
+    bc1 = 1.0 - BETA1**state.step
+    bc2 = 1.0 - BETA2**state.step
     for name, p in params.items():
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
-        m *= config.beta1
-        m += (1.0 - config.beta1) * g
-        v *= config.beta2
-        v += (1.0 - config.beta2) * (g * g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + config.adam_eps)
-        p.data -= config.learning_rate * update
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        p.data -= LEARNING_RATE * update
         p.zero_grad()
 
 
@@ -289,7 +280,7 @@ def train(config: TrainConfig, cases, out_dir, resume_from=None) -> TrainResult:
                     f"non-finite loss at step {step}; last checkpoint retained"
                 )
             loss.backward()
-            adam_step(graph.params, state, config)
+            adam_step(graph.params, state)
 
             log.write(_format_row(state.step, components) + "\n")
             if config.checkpoint_interval and state.step % config.checkpoint_interval == 0:

@@ -134,7 +134,6 @@ class TestCriterion6OverfitExperiment:
             patch_extents=(16, 16, 16),
             depth=3,
             base_channels=8,
-            learning_rate=0.001,
             steps=300,
             seed=0,
             checkpoint_interval=0,

@@ -106,7 +106,8 @@ class TestTrain:
         assert main(["train", "--config", str(cfg_path), "--data-dir", str(data_dir),
                      "--out-dir", str(tmp_path / "o")]) == 2
 
-    # beta1 = 1 trained to all-NaN parameters and a negative clip norm ascended
+    # Adam and clipping are constants; a file naming their former fields is
+    # refused like any unknown field
     @pytest.mark.parametrize("setting", [
         {"beta1": 1.0}, {"beta1": -0.1}, {"beta2": 1.0}, {"adam_eps": 0.0},
         {"learning_rate": float("inf")}, {"learning_rate": float("nan")},
@@ -114,14 +115,15 @@ class TestTrain:
     ])
     def test_bad_optimiser_setting_exit_2(self, data_dir, tmp_path, capsys, setting):
         config = dict(setting, variant="UNET_PRE", depth=2, base_channels=2, steps=1)
-        self._assert_config_exit_2(data_dir, tmp_path, capsys, json.dumps(config))
+        err = self._assert_config_exit_2(data_dir, tmp_path, capsys, json.dumps(config))
+        assert next(iter(setting)) in err
 
     # each used to end in a traceback, exit 1 after reading the data, or train anyway
     @pytest.mark.parametrize("setting", [
         {"depth": "3"}, {"seed": 1.5}, {"variant": "FOO"}, {"variant": "mmtsn"}, {"depth": 1},
         {"base_channels": 1}, {"seed": -1}, {"patch_extents": [16, 16]},
         {"depth": 3, "patch_extents": [10, 10, 10]}, {"patch_extents": [16.5, 16, 16]},
-        {"steps": 2.5}, {"checkpoint_interval": 1.5}, {"augment": "no"}, {"learning_rate": True},
+        {"steps": 2.5}, {"checkpoint_interval": 1.5}, {"augment": "no"}, {"steps": True},
     ])
     def test_bad_run_setting_exit_2(self, data_dir, tmp_path, capsys, setting):
         config = {"variant": "UNET_PRE", "depth": 2, "base_channels": 2, "steps": 1, **setting}
@@ -141,6 +143,13 @@ class TestTrain:
                   "weights": {"lambda_sc": value}}
         err = self._assert_config_exit_2(data_dir, tmp_path, capsys, json.dumps(config))
         assert "weights.lambda_sc" in err
+
+    # json.load raised a plain ValueError past int's 4300-digit limit: exit 1,
+    # naming neither the file nor a field
+    def test_integer_past_digit_limit_names_the_file(self, data_dir, tmp_path, capsys):
+        text = '{"depth": 1' + "0" * 5000 + "}"
+        err = self._assert_config_exit_2(data_dir, tmp_path, capsys, text)
+        assert str(tmp_path / "config.json") in err
 
     @pytest.mark.parametrize("text", ["[1, 2]", "3", '{"weights": 5}', '{"weights": [1]}'])
     def test_config_json_of_wrong_shape_exit_2(self, data_dir, tmp_path, capsys, text):
@@ -368,6 +377,17 @@ class TestCorruptCheckpoint:
         err = self._assert_exit_1(data_dir, tmp_path, capsys, command, manifest,
                                   (trained_run / "checkpoint.bin").read_bytes())
         assert "patch_extents must be" in err
+
+    # the second copy used to overwrite the first and the checkpoint loaded
+    @pytest.mark.parametrize("command", ["eval", "infer"])
+    def test_duplicate_entry_name_exit_1(self, data_dir, trained_run, tmp_path, capsys,
+                                         command):
+        manifest = json.loads((trained_run / "checkpoint.json").read_text())
+        blob = (trained_run / "checkpoint.bin").read_bytes()
+        last = manifest["entries"][-1]
+        manifest["entries"].append(dict(last, offset=len(blob)))
+        self._assert_exit_1(data_dir, tmp_path, capsys, command, manifest,
+                            blob + blob[last["offset"]:], last["name"])
 
     @pytest.mark.parametrize("command", ["eval", "infer"])
     @pytest.mark.parametrize("edit", ["prepend", "append", "truncate"])

@@ -137,6 +137,16 @@ class TestVolumeFiles:
         with pytest.raises(VolumeFormatError, match="header"):
             read_volume(path)
 
+    # np.prod wrapped 4 * 2^62 to 0 in int64, so an empty payload passed the
+    # size check and failed in reshape with no file named
+    @pytest.mark.parametrize("extents,payload", [(b"4 4611686018427387904 1 1", 0),
+                                                 (b"-4 -1 1 1", 16)])
+    def test_huge_or_negative_extents_rejected(self, tmp_path, extents, payload):
+        path = tmp_path / "vol.mmts"
+        path.write_bytes(b"MMTSVOL1 " + extents + b" f32\n" + bytes(payload))
+        with pytest.raises(VolumeFormatError, match="vol.mmts"):
+            read_volume(path)
+
     def test_label_file_uses_u8_single_channel(self, tmp_path):
         _, labels = generate_phantom(8, (16, 16, 16))
         path = tmp_path / "lbl.mmts"

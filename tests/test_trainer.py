@@ -42,9 +42,8 @@ class TestAdam:
         w = Tensor(np.array([1.0], dtype=np.float32), requires_grad=True)
         params = {"w": w}
         state = AdamState.init_like(params)
-        config = tiny_config()
         tensor_sum(mul_broadcast(w, w)).backward()  # loss = w², grad = 2w = 2
-        adam_step(params, state, config)
+        adam_step(params, state)
         # m̂ = 2, v̂ = 4 after bias correction; update = 2/(√4 + 1e-8) ≈ 1
         assert w.data[0] == pytest.approx(1.0 - 0.001, abs=1e-6)
         assert state.step == 1
@@ -56,7 +55,7 @@ class TestAdam:
         state = AdamState.init_like(params)
         state.m["w"][...] = 0.5
         state.v["w"][...] = 0.25
-        adam_step(params, state, tiny_config())  # grad is None → zeros
+        adam_step(params, state)  # grad is None → zeros
         # moments only decay; any parameter motion comes from stale momentum
         assert np.all(state.m["w"] == np.float32(0.5 * 0.9))
         assert np.all(state.v["w"] == np.float32(0.25 * 0.999))
@@ -65,21 +64,21 @@ class TestAdam:
         w = Tensor(np.array([2.0], dtype=np.float32), requires_grad=True)
         params = {"w": w}
         state = AdamState.init_like(params)
-        adam_step(params, state, tiny_config())
+        adam_step(params, state)
         assert w.data[0] == 2.0
 
     def test_nan_gradient_names_parameter(self):
         w = Tensor(np.array([1.0], dtype=np.float32), requires_grad=True)
         w.grad = np.array([np.nan], dtype=np.float32)
         with pytest.raises(TrainingError, match="'w'"):
-            adam_step({"w": w}, AdamState.init_like({"w": w}), tiny_config())
+            adam_step({"w": w}, AdamState.init_like({"w": w}))
 
     def test_global_norm_clip(self):
         w = Tensor(np.zeros(4, dtype=np.float32), requires_grad=True)
         w.grad = np.full(4, 10.0, dtype=np.float32)  # norm 20 > 5
         params = {"w": w}
         state = AdamState.init_like(params)
-        adam_step(params, state, tiny_config(grad_clip_norm=5.0))
+        adam_step(params, state)  # clip norm fixed at 5
         # clipped gradient per coordinate: 10 * 5/20 = 2.5
         assert np.allclose(state.m["w"], 0.1 * 2.5, atol=1e-6)
 
@@ -220,16 +219,23 @@ class TestCheckpointing:
 
 class TestConfigSerialization:
     def test_roundtrip(self):
-        config = tiny_config(steps=42, augment=True, grad_clip_norm=None)
+        config = tiny_config(steps=42, augment=True, checkpoint_interval=7)
         restored = TrainConfig.from_dict(config.to_dict())
         assert restored == config
+
+    def test_fields_are_the_run_settings(self):
+        # Adam and the clip norm are module constants, not settings
+        assert list(TrainConfig().to_dict()) == [
+            "variant", "patch_extents", "depth", "base_channels", "weights", "steps", "seed",
+            "augment", "checkpoint_interval",
+        ]
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ValueError, match="unknown config"):
             TrainConfig.from_dict({"variant": "MMTSN", "lr": 0.1})
 
     def test_invalid_values_rejected(self):
-        with pytest.raises(ValueError):
-            TrainConfig(learning_rate=0.0)
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig.from_dict({"learning_rate": 0.0})
         with pytest.raises(ValueError):
             TrainConfig(steps=0)
