@@ -117,10 +117,15 @@ def _load_cases(data_dir, labels=True):
     for name, stem in zip(names, stems):
         if labels and not os.path.isfile(stem + "_lbl.mmts"):
             raise UsageError(f"case {name}: label file missing")
-    return [
+    cases = [
         (name, read_volume(stem + "_img.mmts"), read_labels(stem + "_lbl.mmts") if labels else None)
         for name, stem in zip(names, stems)
     ]
+    for name, volume, lbl in cases:
+        if lbl is not None and lbl.data.shape != volume.extents:
+            raise UsageError(f"case {name}: label extents {lbl.data.shape} differ from "
+                             f"image extents {volume.extents}")
+    return cases
 
 
 def cmd_generate(args):

@@ -5,17 +5,26 @@ Per-op and fusion-block checks probe every coordinate at step 1e-3 against
 a 1e-3 bound. The whole-model check samples 8 seeded coordinates from every
 parameter tensor and uses a looser 1e-2 bound to absorb composition depth.
 
-The whole-model check's central differences re-run only the part of the
-net a perturbed parameter feeds and reuse the rest from one unperturbed
-pass (`staged_objective`). Every op depends only on its operands, and each
-perturbed entry is restored bit for bit, so every staged value is bitwise
-the one a full forward pass gives.
+The checks' central differences re-run only what a perturbed parameter
+reaches and reuse the rest from one unperturbed pass:
+- the whole-model objective is a sum of loss terms, each reading some of
+  the model's outputs (`Objective`). Each stage of the net (`stage_of`)
+  recomputes only its outputs and the terms that read them; a main-branch
+  decoder or head weight re-runs only the decoder and softmax over the
+  cached fused maps (`staged_objective`);
+- the fusion block's `fuse` kernel and bias are checked on `fuse` over the
+  block's cached `SCFB.mixed` input (`staged_block`).
+Every op depends only on its operands, and each perturbed entry is
+restored bit for bit, so every staged value is bitwise the one a full
+forward pass gives.
 """
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import reduce
 
 import numpy as np
 
@@ -124,6 +133,26 @@ def op_checks(seed=0):
     return results
 
 
+def staged_block(block, parts):
+    """`output_of(param)`: a function giving `block(parts)` after a change to
+    `param`, a parameter of the SCFB `block`.
+
+    `fuse` is the last layer, so a change to its kernel or bias re-runs only
+    `fuse` and relu over `block.mixed(parts)`, computed once, here. While
+    every other parameter keeps its present value, `output_of(param)()` is
+    bitwise `block(parts)`.
+    """
+    with T.no_grad():
+        mixed = block.mixed(parts)
+
+    def output_of(param):
+        if param is block.fuse.kernel or param is block.fuse.bias:
+            return lambda: T.relu(block.fuse(mixed))
+        return lambda: block(parts)
+
+    return output_of
+
+
 def scfb_checks(seed=0):
     """Gradient-check the fusion block end to end, per parameter tensor."""
     rng = np.random.default_rng(seed)
@@ -132,11 +161,13 @@ def scfb_checks(seed=0):
     parts = [_rand(rng, (1, 3, 3, 3)) for _ in range(4)]
 
     # grad_check perturbs the tensor it is handed in place, and the block
-    # reads the live parameter objects, so the closure ignores its argument
+    # reads the live parameter objects, so the closures ignore their argument
     results = []
+    output_of = staged_block(block, parts)
     probe = _probe(30)
     for name, param in store.params.items():
-        err = T.grad_check(lambda _: probe(block(parts)), param, step=STEP)
+        output = output_of(param)
+        err = T.grad_check(lambda _: probe(output()), param, step=STEP)
         results.append(CheckResult(f"scfb/{name}", err, OP_TOL))
     probe = _probe(31)
     err = T.grad_check(lambda _: probe(block(parts)), parts[0], step=STEP)
@@ -144,13 +175,32 @@ def scfb_checks(seed=0):
     return results
 
 
+class Objective:
+    """A sum of loss terms of `ForwardOutputs`, added left to right.
+
+    `terms` holds one (reads, loss) pair per term: the `ForwardOutputs`
+    fields the term reads, and the function of the outputs that computes it.
+    """
+
+    def __init__(self, terms):
+        self.terms = terms
+
+    def __call__(self, out):
+        return self.total([loss(out) for _, loss in self.terms])
+
+    @staticmethod
+    def total(values):
+        return reduce(operator.add, values)
+
+
 def tiny_mmtsn(seed):
     """The whole-model check's inputs: a depth-2, base-2 MMTSN, an 8³ patch
-    of a 16³ phantom, and its probe objective of `ForwardOutputs`.
+    of a 16³ phantom, and its probe `Objective` of `ForwardOutputs`.
 
     The objective composes every loss term with full two-sided gradients
     (the training objective detaches the containment outer side on purpose,
-    which a finite-difference comparison would flag).
+    which a finite-difference comparison would flag): the main Dice, λ·Dice
+    per region, and λsc·containment over all three regions.
     """
     vol, labels = generate_phantom(seed, (16, 16, 16))
     patch = normalize(vol).data[:, 4:12, 4:12, 4:12]
@@ -159,16 +209,23 @@ def tiny_mmtsn(seed):
     w = LossWeights()
     graph = build_model("MMTSN", ModelConfig(depth=2, base_channels=2), seed=seed)
 
-    def objective(out):
-        total = multiclass_dice_loss(out.main_probs, lbl)
-        total = total + w.lambda_wt * soft_dice_loss(out.wt_prob, regions.wt[np.newaxis])
-        total = total + w.lambda_tc * soft_dice_loss(out.tc_prob, regions.tc[np.newaxis])
-        total = total + w.lambda_et * soft_dice_loss(out.et_prob, regions.et[np.newaxis])
+    def region_dice(region, lam):
+        target = getattr(regions, region)[np.newaxis]
+        return lambda out: lam * soft_dice_loss(getattr(out, f"{region}_prob"), target)
+
+    def containment(out):
         sc = spatial_constraint_loss(out.wt_prob, out.tc_prob) + spatial_constraint_loss(
             out.tc_prob, out.et_prob
         )
-        return total + w.lambda_sc * sc
+        return w.lambda_sc * sc
 
+    objective = Objective((
+        (("main_probs",), lambda out: multiclass_dice_loss(out.main_probs, lbl)),
+        (("wt_prob",), region_dice("wt", w.lambda_wt)),
+        (("tc_prob",), region_dice("tc", w.lambda_tc)),
+        (("et_prob",), region_dice("et", w.lambda_et)),
+        (("wt_prob", "tc_prob", "et_prob"), containment),
+    ))
     return graph, patch, objective
 
 
@@ -176,7 +233,8 @@ def tiny_mmtsn(seed):
 _STAGES = (
     ("encoder", rf"branch_(?P<region>{'|'.join(BRANCH_MODALITIES)})\.enc\d+\.\w+"),
     ("decoder", rf"branch_(?P<region>{'|'.join(BRANCH_MODALITIES)})\.(dec\d+|head)\.\w+"),
-    ("main", r"main\..+"),
+    ("main", r"main\.(enc|fusion)\d+\..+"),
+    ("main_decoder", r"main\.(dec\d+|head)\.\w+"),
 )
 
 
@@ -185,8 +243,10 @@ def stage_of(name):
 
     `encoder`: a sub-branch encoder, read by that branch's decoder and by
     the main branch; `decoder`: a sub-branch decoder or head; `main`: the
-    main branch, region None. A name in no stage, or in more than one,
-    raises, so a new parameter cannot be staged wrong unseen.
+    main encoder and fusion blocks, read by the main decoder;
+    `main_decoder`: the main decoder and head. Region is None for the main
+    branch. A name in no stage, or in more than one, raises, so a new
+    parameter cannot be staged wrong unseen.
     """
     hits = [(stage, m.groupdict().get("region")) for stage, pattern in _STAGES
             if (m := re.fullmatch(pattern, name))]
@@ -196,33 +256,41 @@ def stage_of(name):
 
 
 def staged_objective(graph, patch, objective):
-    """`value_of(name)`: a function giving the objective's value after a
+    """`value_of(name)`: a function giving the `Objective`'s value after a
     change to parameter `name`, re-running only what that parameter reaches.
 
-    The sub-branch features and probabilities and the main-branch
-    probabilities are computed once, here; the parts a stage does not reach
-    are reused. While every other parameter keeps its present value,
+    The sub-branch features and probabilities, the fused maps, the
+    main-branch probabilities and every loss term are computed once, here.
+    A stage recomputes its outputs and the terms that read one of them, and
+    reuses the rest. While every other parameter keeps its present value,
     `value_of(name)()` is bitwise `objective(graph.forward(patch)).item()`.
     """
     net = graph.net
     with T.no_grad():
         feats = net.encode(patch)
-        probs = {region: net.branch_prob(region, f) for region, f in feats.items()}
-        main = net.main_probs(patch, feats)
+        probs = {f"{region}_prob": net.branch_prob(region, f) for region, f in feats.items()}
+        fused = net.fused_maps(patch, feats)
+        out = ForwardOutputs(main_probs=net.main_probs(fused), **probs)
+        terms = [loss(out) for _, loss in objective.terms]
 
     def value_of(name):
         stage, region = stage_of(name)
 
         def value():
-            f, p, m = feats, probs, main
+            changed = {}
+            f = feats
             if stage == "encoder":
                 f = {**feats, region: net.branches[region].encode(patch)}
             if stage in ("encoder", "decoder"):
-                p = {**probs, region: net.branch_prob(region, f[region])}
-            if stage in ("encoder", "main"):
-                m = net.main_probs(patch, f)
-            out = ForwardOutputs(main_probs=m, **{f"{r}_prob": prob for r, prob in p.items()})
-            return objective(out).item()
+                changed[f"{region}_prob"] = net.branch_prob(region, f[region])
+            if stage != "decoder":
+                maps = fused if stage == "main_decoder" else net.fused_maps(patch, f)
+                changed["main_probs"] = net.main_probs(maps)
+            new = replace(out, **changed)
+            return objective.total([
+                loss(new) if changed.keys() & reads else term
+                for (reads, loss), term in zip(objective.terms, terms)
+            ]).item()
 
         return value
 
@@ -234,10 +302,10 @@ def model_check(seed=0):
 
     The analytic gradients come from one backward pass over `graph.forward`.
     Each central difference re-runs only the part of the net the perturbed
-    parameter feeds (`stage_of`) and reuses the rest from one unperturbed
-    pass (`staged_objective`). Ops depend only on their operands and each
-    perturbed entry is restored bit for bit, so every value is bitwise the
-    one a full forward pass gives.
+    parameter feeds (`stage_of`) and the loss terms that read it, and reuses
+    the rest from one unperturbed pass (`staged_objective`). Ops depend only
+    on their operands and each perturbed entry is restored bit for bit, so
+    every value is bitwise the one a full forward pass gives.
     """
     graph, patch, objective = tiny_mmtsn(seed)
     graph.zero_grads()

@@ -124,11 +124,14 @@ class SCFB:
         self.fuse = Conv3d(store, f"{name}.fuse", in_ch, out_ch, k=3)
 
     def __call__(self, parts):
+        return relu(self.fuse(self.mixed(parts)))
+
+    def mixed(self, parts):
+        """The input of `fuse`: the concatenated parts reweighted per channel
+        and per voxel, summed. Only `fuse` reads its parameters after it."""
         f_concat = concat_channels(parts)
         w_c, w_s = self._weights(f_concat)
-        f_c = mul_broadcast(f_concat, w_c)
-        f_s = mul_broadcast(f_concat, w_s)
-        return relu(self.fuse(add(f_c, f_s)))
+        return add(mul_broadcast(f_concat, w_c), mul_broadcast(f_concat, w_s))
 
     def attention_weights(self, parts):
         """(channel weights, spatial weights) for inspection and tests."""
@@ -211,7 +214,7 @@ class FusedNet:
     """Main branch whose encoder fuses sub-branch features at every scale.
 
     `forward`, `predict` and the whole-model gradient check compose the
-    same parts: `encode`, `branch_prob` and `main_probs`.
+    same parts: `encode`, `branch_prob`, `fused_maps` and `main_probs`.
     """
 
     def __init__(self, store, depth, base, fusion_cls):
@@ -229,12 +232,13 @@ class FusedNet:
         self.decoder = Decoder(store, "main", NUM_CLASSES, depth, base)
 
     def predict(self, patch_np):
-        return self.main_probs(patch_np, self.encode(patch_np))
+        return self.main_probs(self.fused_maps(patch_np, self.encode(patch_np)))
 
     def forward(self, patch_np):
         feats = self.encode(patch_np)
         probs = {f"{region}_prob": self.branch_prob(region, f) for region, f in feats.items()}
-        return ForwardOutputs(main_probs=self.main_probs(patch_np, feats), **probs)
+        main = self.main_probs(self.fused_maps(patch_np, feats))
+        return ForwardOutputs(main_probs=main, **probs)
 
     def encode(self, patch_np):
         """Per-scale encoder features of every sub-branch, by region."""
@@ -244,15 +248,20 @@ class FusedNet:
         """Sigmoid probability of one sub-branch's region from its encoder features."""
         return sigmoid(self.branches[region].decoder(feats))
 
-    def main_probs(self, patch_np, branch_feats):
-        """Main-branch class probabilities, fusing `branch_feats` (by region,
-        as `encode` returns them) with the main encoder at every scale."""
+    def fused_maps(self, patch_np, branch_feats):
+        """Per-scale fused maps of the main encoder, finest first: its own
+        features fused with `branch_feats` (by region, as `encode` returns
+        them) at every scale."""
         fused = []
         h = Tensor(patch_np)
         for i, (conv, fusion) in enumerate(zip(self.enc, self.fusions)):
             own = relu(conv(max_pool3d(h) if i else h))
             h = fusion([feats[i] for feats in branch_feats.values()] + [own])
             fused.append(h)
+        return fused
+
+    def main_probs(self, fused):
+        """Main-branch class probabilities from the per-scale fused maps."""
         return softmax_channels(self.decoder(fused))
 
 

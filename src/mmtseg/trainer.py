@@ -263,6 +263,7 @@ def train(config: TrainConfig, cases, out_dir, resume_from=None) -> TrainResult:
                 )
 
     components = {}
+    saved_at = None
     with open(log_path, "w", encoding="ascii") as log:
         log.write(LOSS_CSV_HEADER + "\n")
         while state.step < config.steps:
@@ -285,8 +286,10 @@ def train(config: TrainConfig, cases, out_dir, resume_from=None) -> TrainResult:
             log.write(_format_row(state.step, components) + "\n")
             if config.checkpoint_interval and state.step % config.checkpoint_interval == 0:
                 save_checkpoint(checkpoint_path, graph, state, config)
+                saved_at = state.step
 
-    save_checkpoint(checkpoint_path, graph, state, config)
+    if saved_at != state.step:  # the last step's periodic save is the final one
+        save_checkpoint(checkpoint_path, graph, state, config)
     return TrainResult(
         checkpoint_path=checkpoint_path,
         log_path=log_path,

@@ -12,7 +12,7 @@ import mmtseg.cli
 import mmtseg.tensor
 from mmtseg.cli import _predict_labels, main
 from mmtseg.model import load_blob, save_blob
-from mmtseg.phantom import read_labels, read_volume
+from mmtseg.phantom import generate_phantom, read_labels, read_volume, write_labels
 from mmtseg.trainer import load_checkpoint
 
 from oracles import oracle_quantile
@@ -505,6 +505,34 @@ class TestInfer:
                      "--report", str(tmp_path / "r.json")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "label file missing" in err
+
+
+class TestLabelExtents:
+    # a 16³ image with 24³ labels used to train on labels sliced at the
+    # image's grid, and eval failed only after predicting every window
+    @pytest.mark.parametrize("command", ["train", "eval", "compare"])
+    def test_mismatch_exit_2_before_any_output(self, data_dir, trained_run, tmp_path, capsys,
+                                               command):
+        cases = tmp_path / "cases"
+        cases.mkdir()
+        for f in data_dir.glob("*.mmts"):
+            (cases / f.name).write_bytes(f.read_bytes())
+        lbl = sorted(cases.glob("*_lbl.mmts"))[1]
+        write_labels(str(lbl), generate_phantom(0, (24, 24, 24))[1])
+        out = tmp_path / "out"
+        argv = {
+            "train": ["train", "--steps", "1", "--out-dir", str(out)],
+            "eval": ["eval", "--checkpoint", str(trained_run / "checkpoint"),
+                     "--report", str(out)],
+            "compare": ["compare", "--steps", "1", "--out-dir", str(out)],
+        }[command]
+        capsys.readouterr()
+        assert main(argv + ["--data-dir", str(cases)]) == 2
+        err = capsys.readouterr().err
+        name = lbl.name[: -len("_lbl.mmts")]
+        assert err == (f"error: case {name}: label extents (24, 24, 24) differ from "
+                       "image extents (16, 16, 16)\n")
+        assert not out.exists()
 
 
 class TestSeedFlag:

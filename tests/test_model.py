@@ -12,11 +12,13 @@ import mmtseg.model
 import mmtseg.tensor
 from mmtseg.gradcheck import (
     STEP,
+    Objective,
     model_check,
     op_checks,
     run_suite,
     scfb_checks,
     stage_of,
+    staged_block,
     staged_objective,
     tiny_mmtsn,
 )
@@ -81,6 +83,34 @@ class TestSCFB:
     def test_gradients_through_block(self):
         results = scfb_checks(seed=0)
         assert all(r.passed for r in results), [r.line() for r in results if not r.passed]
+
+    def test_staged_check_values_bitwise_equal_full_block(self, monkeypatch):
+        # the staged outputs feed every central difference of `scfb_checks`;
+        # the `fuse` kernel and bias re-run `fuse` alone, the rest all four convs
+        store, block, parts = self.make_block()
+        output_of = staged_block(block, parts)
+        calls = []
+        conv = mmtseg.model.conv3d
+
+        def spy(*args, **kwargs):
+            calls.append(None)
+            return conv(*args, **kwargs)
+
+        for name, param in store.params.items():
+            output = output_of(param)
+            flat = param.data.reshape(-1)
+            orig = flat[0]
+            flat[0] = orig + STEP
+            try:
+                with no_grad():
+                    full = block(parts).data
+                    with monkeypatch.context() as m:
+                        m.setattr(mmtseg.model, "conv3d", spy)
+                        staged = output().data
+            finally:
+                flat[0] = orig
+            assert np.array_equal(staged, full), name
+        assert len(calls) == 6 * 4 + 2 * 1
 
 
 class TestForwardContracts:
@@ -336,11 +366,32 @@ class TestFullModelGradient:
         # The staged values feed every central difference; a stage that
         # skips a part its parameter reaches can still pass the loose
         # bound, so this equality is the gate for the staging.
+        # Each term is counted as it is computed: a stage recomputes exactly
+        # the terms that read an output it changes.
         graph, patch, objective = tiny_mmtsn(0)
+        runs = [0] * len(objective.terms)
+
+        def counted(i, loss):
+            def term(out):
+                runs[i] += 1
+                return loss(out)
+            return term
+
+        objective = Objective(tuple((reads, counted(i, loss))
+                                    for i, (reads, loss) in enumerate(objective.terms)))
         value_of = staged_objective(graph, patch, objective)
+        # terms: 0 main Dice, 1-3 region Dice, 4 containment
+        dice = {"wt": 1, "tc": 2, "et": 3}
+        recomputed = {
+            "encoder": lambda r: {0, dice[r], 4},
+            "decoder": lambda r: {dice[r], 4},
+            "main": lambda r: {0},
+            "main_decoder": lambda r: {0},
+        }
         stages = set()
         for name, param in graph.params.items():
-            stages.add(stage_of(name))
+            stage, region = stage_of(name)
+            stages.add((stage, region))
             value = value_of(name)
             flat = param.data.reshape(-1)
             orig = flat[0]
@@ -348,23 +399,27 @@ class TestFullModelGradient:
             try:
                 with no_grad():
                     full = objective(graph.forward(patch)).item()
+                runs[:] = [0] * len(runs)
                 staged = value()
             finally:
                 flat[0] = orig
             assert staged == full, name
-        assert stages == {("main", None)} | {
+            assert {i for i, n in enumerate(runs) if n} == recomputed[stage](region), name
+        assert stages == {("main", None), ("main_decoder", None)} | {
             (stage, r) for stage in ("encoder", "decoder") for r in ("wt", "tc", "et")
         }
 
     @pytest.mark.parametrize("name", [
         "branch_xx.enc0.kernel", "branch_wt.up0.kernel", "main", "mainx.enc0.bias", "unet.enc0.kernel",
+        "main.up0.kernel",
     ])
     def test_unstaged_parameter_name_raises(self, name):
         with pytest.raises(ValueError, match="stages"):
             stage_of(name)
 
     def test_model_check_reruns_only_reached_parts(self, monkeypatch):
-        # the full forward pass per central difference made 12,168 convs
+        # the full forward pass per central difference made 12,168 convs;
+        # staging by sub-network made 5,868, and the main decoder stage 5,428
         calls = []
         conv = mmtseg.model.conv3d
 
@@ -374,7 +429,7 @@ class TestFullModelGradient:
 
         monkeypatch.setattr(mmtseg.model, "conv3d", spy)
         model_check(0)
-        assert len(calls) <= 6000
+        assert len(calls) <= 5699
 
 
 class TestOpCoverage:

@@ -216,6 +216,21 @@ class TestCheckpointing:
             train(tiny_config(steps=4, seed=9), phantom_cases(), tmp_path / "run",
                   resume_from=part.checkpoint_path)
 
+    @pytest.mark.parametrize("interval, saved_steps", [(0, [4]), (2, [2, 4]), (3, [3, 4])])
+    def test_final_checkpoint_written_once(self, tmp_path, monkeypatch, interval, saved_steps):
+        # a periodic save at the last step is the final checkpoint
+        saves = []
+        real = trainer_mod.save_checkpoint
+
+        def spy(path, graph, state, config):
+            saves.append(state.step)
+            return real(path, graph, state, config)
+
+        monkeypatch.setattr(trainer_mod, "save_checkpoint", spy)
+        config = tiny_config(steps=4, checkpoint_interval=interval)
+        train(config, phantom_cases(), tmp_path / "run")
+        assert saves == saved_steps
+
 
 class TestConfigSerialization:
     def test_roundtrip(self):
