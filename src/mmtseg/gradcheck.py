@@ -5,26 +5,16 @@ Per-op and fusion-block checks probe every coordinate at step 1e-3 against
 a 1e-3 bound. The whole-model check samples 8 seeded coordinates from every
 parameter tensor and uses a looser 1e-2 bound to absorb composition depth.
 
-The checks' central differences re-run only what a perturbed parameter
-reaches and reuse the rest from one unperturbed pass:
-- the whole-model objective is a sum of loss terms, each reading some of
-  the model's outputs (`Objective`). Each stage of the net (`stage_of`)
-  recomputes only its outputs and the terms that read them; a main-branch
-  decoder or head weight re-runs only the decoder and softmax over the
-  cached fused maps (`staged_objective`);
-- the fusion block's `fuse` kernel and bias are checked on `fuse` over the
-  block's cached `SCFB.mixed` input (`staged_block`).
-Every op depends only on its operands, and each perturbed entry is
-restored bit for bit, so every staged value is bitwise the one a full
-forward pass gives.
+The fusion-block and whole-model checks record their objective once and,
+per parameter, replay only the ops that parameter reaches (`T.replayer`);
+every other value comes from the recording. Every op depends only on its
+operands, and each perturbed entry is restored bit for bit, so every
+replayed value is bitwise the one a full forward pass gives.
 """
 
 from __future__ import annotations
 
-import operator
-import re
-from dataclasses import dataclass, replace
-from functools import reduce
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +25,7 @@ from .losses import (
     soft_dice_loss,
     spatial_constraint_loss,
 )
-from .model import BRANCH_MODALITIES, SCFB, ForwardOutputs, ModelConfig, ParamStore, build_model
+from .model import SCFB, ModelConfig, ParamStore, build_model
 from .phantom import derive_regions, generate_phantom
 from .pipeline import normalize
 
@@ -133,26 +123,6 @@ def op_checks(seed=0):
     return results
 
 
-def staged_block(block, parts):
-    """`output_of(param)`: a function giving `block(parts)` after a change to
-    `param`, a parameter of the SCFB `block`.
-
-    `fuse` is the last layer, so a change to its kernel or bias re-runs only
-    `fuse` and relu over `block.mixed(parts)`, computed once, here. While
-    every other parameter keeps its present value, `output_of(param)()` is
-    bitwise `block(parts)`.
-    """
-    with T.no_grad():
-        mixed = block.mixed(parts)
-
-    def output_of(param):
-        if param is block.fuse.kernel or param is block.fuse.bias:
-            return lambda: T.relu(block.fuse(mixed))
-        return lambda: block(parts)
-
-    return output_of
-
-
 def scfb_checks(seed=0):
     """Gradient-check the fusion block end to end, per parameter tensor."""
     rng = np.random.default_rng(seed)
@@ -160,14 +130,13 @@ def scfb_checks(seed=0):
     block = SCFB(store, "scfb", in_ch=4, out_ch=2)
     parts = [_rand(rng, (1, 3, 3, 3)) for _ in range(4)]
 
-    # grad_check perturbs the tensor it is handed in place, and the block
+    # grad_check perturbs the tensor it is handed in place, and the replay
     # reads the live parameter objects, so the closures ignore their argument
     results = []
-    output_of = staged_block(block, parts)
-    probe = _probe(30)
+    root = _probe(30)(block(parts))
     for name, param in store.params.items():
-        output = output_of(param)
-        err = T.grad_check(lambda _: probe(output()), param, step=STEP)
+        value = T.replayer(root, param)
+        err = T.grad_check(lambda _: value(), param, step=STEP)
         results.append(CheckResult(f"scfb/{name}", err, OP_TOL))
     probe = _probe(31)
     err = T.grad_check(lambda _: probe(block(parts)), parts[0], step=STEP)
@@ -175,32 +144,15 @@ def scfb_checks(seed=0):
     return results
 
 
-class Objective:
-    """A sum of loss terms of `ForwardOutputs`, added left to right.
-
-    `terms` holds one (reads, loss) pair per term: the `ForwardOutputs`
-    fields the term reads, and the function of the outputs that computes it.
-    """
-
-    def __init__(self, terms):
-        self.terms = terms
-
-    def __call__(self, out):
-        return self.total([loss(out) for _, loss in self.terms])
-
-    @staticmethod
-    def total(values):
-        return reduce(operator.add, values)
-
-
 def tiny_mmtsn(seed):
     """The whole-model check's inputs: a depth-2, base-2 MMTSN, an 8³ patch
-    of a 16³ phantom, and its probe `Objective` of `ForwardOutputs`.
+    of a 16³ phantom, and its probe objective of `ForwardOutputs`.
 
     The objective composes every loss term with full two-sided gradients
     (the training objective detaches the containment outer side on purpose,
-    which a finite-difference comparison would flag): the main Dice, λ·Dice
-    per region, and λsc·containment over all three regions.
+    which a finite-difference comparison would flag), added left to right:
+    the main Dice, λ·Dice per region, and λsc·containment over all three
+    regions.
     """
     vol, labels = generate_phantom(seed, (16, 16, 16))
     patch = normalize(vol).data[:, 4:12, 4:12, 4:12]
@@ -209,117 +161,42 @@ def tiny_mmtsn(seed):
     w = LossWeights()
     graph = build_model("MMTSN", ModelConfig(depth=2, base_channels=2), seed=seed)
 
-    def region_dice(region, lam):
-        target = getattr(regions, region)[np.newaxis]
-        return lambda out: lam * soft_dice_loss(getattr(out, f"{region}_prob"), target)
-
-    def containment(out):
+    def objective(out):
+        total = multiclass_dice_loss(out.main_probs, lbl)
+        for region, lam in (("wt", w.lambda_wt), ("tc", w.lambda_tc), ("et", w.lambda_et)):
+            target = getattr(regions, region)[np.newaxis]
+            total = total + lam * soft_dice_loss(getattr(out, f"{region}_prob"), target)
         sc = spatial_constraint_loss(out.wt_prob, out.tc_prob) + spatial_constraint_loss(
             out.tc_prob, out.et_prob
         )
-        return w.lambda_sc * sc
+        return total + w.lambda_sc * sc
 
-    objective = Objective((
-        (("main_probs",), lambda out: multiclass_dice_loss(out.main_probs, lbl)),
-        (("wt_prob",), region_dice("wt", w.lambda_wt)),
-        (("tc_prob",), region_dice("tc", w.lambda_tc)),
-        (("et_prob",), region_dice("et", w.lambda_et)),
-        (("wt_prob", "tc_prob", "et_prob"), containment),
-    ))
     return graph, patch, objective
-
-
-# stage, and the names of the parameters in it
-_STAGES = (
-    ("encoder", rf"branch_(?P<region>{'|'.join(BRANCH_MODALITIES)})\.enc\d+\.\w+"),
-    ("decoder", rf"branch_(?P<region>{'|'.join(BRANCH_MODALITIES)})\.(dec\d+|head)\.\w+"),
-    ("main", r"main\.(enc|fusion)\d+\..+"),
-    ("main_decoder", r"main\.(dec\d+|head)\.\w+"),
-)
-
-
-def stage_of(name):
-    """(stage, region) of an MMTSN parameter: the part of the net it feeds.
-
-    `encoder`: a sub-branch encoder, read by that branch's decoder and by
-    the main branch; `decoder`: a sub-branch decoder or head; `main`: the
-    main encoder and fusion blocks, read by the main decoder;
-    `main_decoder`: the main decoder and head. Region is None for the main
-    branch. A name in no stage, or in more than one, raises, so a new
-    parameter cannot be staged wrong unseen.
-    """
-    hits = [(stage, m.groupdict().get("region")) for stage, pattern in _STAGES
-            if (m := re.fullmatch(pattern, name))]
-    if len(hits) != 1:
-        raise ValueError(f"parameter {name!r} falls in {len(hits)} stages, expected one")
-    return hits[0]
-
-
-def staged_objective(graph, patch, objective):
-    """`value_of(name)`: a function giving the `Objective`'s value after a
-    change to parameter `name`, re-running only what that parameter reaches.
-
-    The sub-branch features and probabilities, the fused maps, the
-    main-branch probabilities and every loss term are computed once, here.
-    A stage recomputes its outputs and the terms that read one of them, and
-    reuses the rest. While every other parameter keeps its present value,
-    `value_of(name)()` is bitwise `objective(graph.forward(patch)).item()`.
-    """
-    net = graph.net
-    with T.no_grad():
-        feats = net.encode(patch)
-        probs = {f"{region}_prob": net.branch_prob(region, f) for region, f in feats.items()}
-        fused = net.fused_maps(patch, feats)
-        out = ForwardOutputs(main_probs=net.main_probs(fused), **probs)
-        terms = [loss(out) for _, loss in objective.terms]
-
-    def value_of(name):
-        stage, region = stage_of(name)
-
-        def value():
-            changed = {}
-            f = feats
-            if stage == "encoder":
-                f = {**feats, region: net.branches[region].encode(patch)}
-            if stage in ("encoder", "decoder"):
-                changed[f"{region}_prob"] = net.branch_prob(region, f[region])
-            if stage != "decoder":
-                maps = fused if stage == "main_decoder" else net.fused_maps(patch, f)
-                changed["main_probs"] = net.main_probs(maps)
-            new = replace(out, **changed)
-            return objective.total([
-                loss(new) if changed.keys() & reads else term
-                for (reads, loss), term in zip(objective.terms, terms)
-            ]).item()
-
-        return value
-
-    return value_of
 
 
 def model_check(seed=0):
     """Sampled finite-difference check of a whole tiny model's parameters.
 
-    The analytic gradients come from one backward pass over `graph.forward`.
-    Each central difference re-runs only the part of the net the perturbed
-    parameter feeds (`stage_of`) and the loss terms that read it, and reuses
-    the rest from one unperturbed pass (`staged_objective`). Ops depend only
-    on their operands and each perturbed entry is restored bit for bit, so
-    every value is bitwise the one a full forward pass gives.
+    The analytic gradients come from one backward pass over the recorded
+    objective of `graph.forward`. Each central difference replays only the
+    ops the perturbed parameter reaches (`T.replayer`) and reads the rest
+    from that recording, so every value is bitwise the one a full forward
+    pass gives.
     """
     graph, patch, objective = tiny_mmtsn(seed)
     graph.zero_grads()
-    objective(graph.forward(patch)).backward()
+    root = objective(graph.forward(patch))
+    root.backward()
     analytic = {name: t.grad.copy() for name, t in graph.params.items()}
     graph.zero_grads()
 
-    value_of = staged_objective(graph, patch, objective)
     rng = np.random.default_rng(seed + 99)
     worst = 0.0
     for name, param in graph.params.items():
         flat = param.data.reshape(-1)
         coords = rng.choice(flat.size, size=min(COORDS_PER_TENSOR, flat.size), replace=False)
-        numeric = T._central_differences(value_of(name), flat, coords, STEP)
+        value = T.replayer(root, param)
+        numeric = T._central_differences(lambda: value().item(), flat, coords, STEP)
         worst = max(worst, T.max_rel_err(analytic[name].reshape(-1)[coords], numeric))
     return CheckResult("full-model (tiny MMTSN)", worst, MODEL_TOL)
 

@@ -124,14 +124,10 @@ class SCFB:
         self.fuse = Conv3d(store, f"{name}.fuse", in_ch, out_ch, k=3)
 
     def __call__(self, parts):
-        return relu(self.fuse(self.mixed(parts)))
-
-    def mixed(self, parts):
-        """The input of `fuse`: the concatenated parts reweighted per channel
-        and per voxel, summed. Only `fuse` reads its parameters after it."""
         f_concat = concat_channels(parts)
         w_c, w_s = self._weights(f_concat)
-        return add(mul_broadcast(f_concat, w_c), mul_broadcast(f_concat, w_s))
+        mixed = add(mul_broadcast(f_concat, w_c), mul_broadcast(f_concat, w_s))
+        return relu(self.fuse(mixed))
 
     def attention_weights(self, parts):
         """(channel weights, spatial weights) for inspection and tests."""
@@ -213,8 +209,8 @@ class UNetSum:
 class FusedNet:
     """Main branch whose encoder fuses sub-branch features at every scale.
 
-    `forward`, `predict` and the whole-model gradient check compose the
-    same parts: `encode`, `branch_prob`, `fused_maps` and `main_probs`.
+    `forward` and `predict` compose the same parts: `encode`, `fused_maps`
+    and `main_probs`.
     """
 
     def __init__(self, store, depth, base, fusion_cls):
@@ -236,17 +232,14 @@ class FusedNet:
 
     def forward(self, patch_np):
         feats = self.encode(patch_np)
-        probs = {f"{region}_prob": self.branch_prob(region, f) for region, f in feats.items()}
+        probs = {f"{region}_prob": sigmoid(self.branches[region].decoder(f))
+                 for region, f in feats.items()}
         main = self.main_probs(self.fused_maps(patch_np, feats))
         return ForwardOutputs(main_probs=main, **probs)
 
     def encode(self, patch_np):
         """Per-scale encoder features of every sub-branch, by region."""
         return {region: branch.encode(patch_np) for region, branch in self.branches.items()}
-
-    def branch_prob(self, region, feats):
-        """Sigmoid probability of one sub-branch's region from its encoder features."""
-        return sigmoid(self.branches[region].decoder(feats))
 
     def fused_maps(self, patch_np, branch_feats):
         """Per-scale fused maps of the main encoder, finest first: its own

@@ -20,8 +20,9 @@ tiles or loop over them (see `conv3d`). Every tile is copied into one shared
 workspace, allocated on first use and never shrunk, so a small convolution
 does not map and fault in fresh memory on every call.
 
-`grad_check` evaluates its central differences under `no_grad`: the same
-forward values, and no graph.
+Every graph node keeps the op call that made it, so `replayer` can re-run
+just the ops downstream of one input. `grad_check` evaluates its central
+differences under `no_grad`: the same forward values, and no graph.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ __all__ = [
     "concat_channels",
     "slice_channels",
     "tensor_sum",
+    "replayer",
     "grad_check",
     "max_rel_err",
 ]
@@ -95,10 +97,11 @@ class Tensor:
     """A float32 array plus an optional slot in a reverse-mode graph.
 
     Tensors produced by ops are treated as immutable. `grad` accumulates
-    across `backward` calls until explicitly cleared.
+    across `backward` calls until explicitly cleared. A graph node also
+    keeps the call that made it: `_call` is (op, non-tensor arguments).
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_call")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float32)
@@ -106,6 +109,7 @@ class Tensor:
         self.requires_grad = requires_grad
         self._parents = ()
         self._backward = None
+        self._call = None
 
     @property
     def shape(self):
@@ -198,12 +202,16 @@ def _topo_order(root):
     return order
 
 
-def _make(data, parents, backward):
+def _make(data, parents, backward, op, *extra):
+    """`data` as the output of `op` on `parents` and the non-tensor arguments
+    `extra`. It joins the graph, with its backward closure and its call,
+    when grad is on and a parent needs one."""
     out = Tensor(data)
     out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
     if out.requires_grad:
         out._parents = tuple(parents)
         out._backward = backward
+        out._call = (op, extra)
     _check_finite(out.data, "op output")
     return out
 
@@ -236,10 +244,10 @@ def _reduce_to(g, kind):
 def add(a, b):
     """Elementwise sum; `b` may be a Python scalar."""
     if not isinstance(b, Tensor):
-        return _make(a.data + np.float32(b), [a], lambda g: (g,))
+        return _make(a.data + np.float32(b), [a], lambda g: (g,), add, b)
     if a.data.shape != b.data.shape:
         raise ShapeError(f"add shape mismatch: {a.data.shape} vs {b.data.shape}")
-    return _make(a.data + b.data, [a, b], lambda g: (g, g))
+    return _make(a.data + b.data, [a, b], lambda g: (g, g), add)
 
 
 def mul_broadcast(a, b):
@@ -247,13 +255,13 @@ def mul_broadcast(a, b):
     one of the attention weights broadcast over it."""
     if not isinstance(b, Tensor):
         s = np.float32(b)
-        return _make(a.data * s, [a], lambda g: (g * s,))
+        return _make(a.data * s, [a], lambda g: (g * s,), mul_broadcast, b)
     kind = _broadcast_kind(a.data.shape, b.data.shape)
     if kind is None:
         raise ShapeError(f"mul shapes not broadcastable: {a.data.shape} vs {b.data.shape}")
     def backward(g):
         return (g * b.data, _reduce_to(g * a.data, kind))
-    return _make(a.data * b.data, [a, b], backward)
+    return _make(a.data * b.data, [a, b], backward, mul_broadcast)
 
 
 def div(a, b):
@@ -270,14 +278,14 @@ def div(a, b):
             -np.sum(g.astype(np.float64) * a.data) / (bv * bv), dtype=np.float32
         ).reshape(b.data.shape)
         return (ga, gb)
-    return _make(out, [a, b], backward)
+    return _make(out, [a, b], backward, div)
 
 
 def relu(x):
     """max(0, x), with +0 for x ≤ 0 and NaN for NaN; subgradient at 0 is 0."""
     out = np.maximum(x.data, 0)
     out += 0  # −0 becomes +0
-    return _make(out, [x], lambda g: (g * (out > 0),))
+    return _make(out, [x], lambda g: (g * (out > 0),), relu)
 
 
 # smallest/largest float32 strictly inside (0, 1)
@@ -298,7 +306,7 @@ def sigmoid(x):
     e += 1
     out /= e
     np.clip(out, _SIGMOID_LO, _SIGMOID_HI, out=out)
-    return _make(out, [x], lambda g: (g * out * (1.0 - out),))
+    return _make(out, [x], lambda g: (g * out * (1.0 - out),), sigmoid)
 
 
 def softmax_channels(x):
@@ -313,13 +321,13 @@ def softmax_channels(x):
     def backward(g):
         gs = g.astype(np.float64) * s
         return ((gs - s * gs.sum(axis=0, keepdims=True)),)
-    return _make(out, [x], backward)
+    return _make(out, [x], backward, softmax_channels)
 
 
 def tensor_sum(x):
     """Sum of all elements as a scalar tensor (float64 accumulator)."""
     out = np.asarray(np.sum(x.data, dtype=np.float64), dtype=np.float32)
-    return _make(out, [x], lambda g: (np.broadcast_to(g, x.data.shape),))
+    return _make(out, [x], lambda g: (np.broadcast_to(g, x.data.shape),), tensor_sum)
 
 
 def global_avg_pool(x):
@@ -331,7 +339,7 @@ def global_avg_pool(x):
     out = np.mean(x.data, axis=(1, 2, 3), keepdims=True, dtype=np.float64)
     def backward(g):
         return (np.broadcast_to(g / n, x.data.shape),)
-    return _make(out.astype(np.float32), [x], backward)
+    return _make(out.astype(np.float32), [x], backward, global_avg_pool)
 
 
 def slice_channels(x, start, stop):
@@ -348,7 +356,7 @@ def slice_channels(x, start, stop):
         gx[start:stop] = g
         return (gx,)
 
-    return _make(out, [x], backward)
+    return _make(out, [x], backward, slice_channels, start, stop)
 
 
 def concat_channels(inputs):
@@ -365,7 +373,7 @@ def concat_channels(inputs):
     splits = np.cumsum([t.data.shape[0] for t in inputs])[:-1]
     def backward(g):
         return tuple(np.split(g, splits, axis=0))
-    return _make(out, list(inputs), backward)
+    return _make(out, list(inputs), backward, concat_channels)
 
 
 # `_correlate` (the forward pass and the input gradient) with at most _TILE_CHANNELS
@@ -518,7 +526,7 @@ def conv3d(x, kernel, bias):
             gx = _grid(_correlate(flipped, g_taps), extents, plane, row)
         return (gx, gk, gb)
 
-    return _make(out.astype(np.float32), [x, kernel, bias], backward)
+    return _make(out.astype(np.float32), [x, kernel, bias], backward, conv3d)
 
 
 def max_pool3d(x):
@@ -552,7 +560,7 @@ def max_pool3d(x):
             g = ga
         return (g.transpose(3, 4, 2, 5, 1, 6, 0).reshape(c, d, h, w),)
 
-    return _make(stages[-1], [x], backward)
+    return _make(stages[-1], [x], backward, max_pool3d)
 
 
 def nearest_upsample(x):
@@ -571,7 +579,40 @@ def nearest_upsample(x):
             gx = copies[:, 0] + copies[:, 1]
         return (gx.reshape(c, d, h, w),)
 
-    return _make(out, [x], backward)
+    return _make(out, [x], backward, nearest_upsample)
+
+
+def replayer(root, leaf):
+    """`value()`: `root` recomputed from the current data of `leaf`.
+
+    `root` must have been made with the graph recorded. `value()` re-runs,
+    in forward order, the recorded ops that `leaf` reaches, each on the
+    replayed values of its reached parents and the recorded values of the
+    rest, and returns the replayed root (the recorded one if `leaf` does not
+    reach it). Ops depend only on their operands, so after an in-place
+    change to `leaf.data` the value is bitwise that of a full forward pass.
+
+    Replay freezes Python control flow at the recorded pass: a branch taken
+    on a value, such as the zero-mass branch of
+    `losses.spatial_constraint_loss`, stays as it was recorded, and tensors
+    made outside the ops stay constants.
+    """
+    reached = {id(leaf)}
+    nodes = []
+    for node in reversed(_topo_order(root)):
+        if any(id(p) in reached for p in node._parents):
+            reached.add(id(node))
+            nodes.append(node)
+
+    def value():
+        now = {}
+        for node in nodes:
+            op, extra = node._call
+            args = [now.get(id(p), p) for p in node._parents]
+            now[id(node)] = op(args) if op is concat_channels else op(*args, *extra)
+        return now.get(id(root), root)
+
+    return value
 
 
 def grad_check(f, x, step=1e-3):

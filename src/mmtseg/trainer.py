@@ -187,8 +187,8 @@ def load_checkpoint(path):
     """Rebuild graph, optimizer state and the config the file was saved with.
 
     The saved entries must be exactly the rebuilt graph's parameters and Adam
-    moments, each with its shape. The config carries the manifest meta;
-    every other field is at its default.
+    moments, each with its shape and finite values. The config carries the
+    manifest meta; every other field is at its default.
     """
     named, meta = load_blob(path)
     _check_meta(path, meta)
@@ -212,6 +212,8 @@ def load_checkpoint(path):
             raise ValueError(
                 f"checkpoint entry {name!r}: shape {named[name].shape} != {arr.shape}"
             )
+        if not np.isfinite(named[name]).all():
+            raise ValueError(f"checkpoint entry {name!r} holds non-finite values")
     for name, arr in targets.items():
         arr[...] = named[name]
     return graph, state, config

@@ -250,21 +250,22 @@ class TestInferenceGraph:
         recorded = []
         make = mmtseg.tensor._make
 
-        def spy(data, parents, backward):
-            out = make(data, parents, backward)
-            recorded.append(out._backward is not None or out._parents != ())
+        def spy(data, parents, backward, op, *extra):
+            out = make(data, parents, backward, op, *extra)
+            recorded.append((out._backward is not None, out._parents != (),
+                             out._call is not None))
             return out
 
         monkeypatch.setattr(mmtseg.tensor, "_make", spy)
         labels = _predict_labels(graph, config.patch_extents, volume)
-        assert recorded and not any(recorded)
+        assert recorded and not any(any(r) for r in recorded)
         assert all(t.requires_grad for t in graph.params.values())
 
         # the same prediction with the graph recorded, as training would
         recorded.clear()
         monkeypatch.setattr(mmtseg.cli, "no_grad", contextlib.nullcontext)
         with_graph = _predict_labels(graph, config.patch_extents, volume)
-        assert all(recorded)
+        assert all(all(r) for r in recorded)
         assert np.array_equal(labels.data, with_graph.data)
 
 
@@ -416,6 +417,20 @@ class TestCorruptCheckpoint:
             del named[name]
         save_blob(tmp_path / "bad", named, meta)
         self._assert_exit_1(data_dir, tmp_path, capsys, "eval",
+                            json.loads((tmp_path / "bad.json").read_text()),
+                            (tmp_path / "bad.bin").read_bytes(), name)
+
+
+    # a NaN parameter used to load, and eval exited 0 with Dice 0 on every region
+    @pytest.mark.parametrize("command", ["eval", "infer"])
+    @pytest.mark.parametrize("prefix, value", [("unet.", np.nan), ("adam.v.", np.inf)])
+    def test_non_finite_entry_exit_1(self, data_dir, trained_run, tmp_path, capsys, command,
+                                     prefix, value):
+        named, meta = load_blob(trained_run / "checkpoint")
+        name = next(n for n in sorted(named) if n.startswith(prefix))
+        named[name].flat[0] = value
+        save_blob(tmp_path / "bad", named, meta)
+        self._assert_exit_1(data_dir, tmp_path, capsys, command,
                             json.loads((tmp_path / "bad.json").read_text()),
                             (tmp_path / "bad.bin").read_bytes(), name)
 

@@ -10,18 +10,7 @@ import pytest
 
 import mmtseg.model
 import mmtseg.tensor
-from mmtseg.gradcheck import (
-    STEP,
-    Objective,
-    model_check,
-    op_checks,
-    run_suite,
-    scfb_checks,
-    stage_of,
-    staged_block,
-    staged_objective,
-    tiny_mmtsn,
-)
+from mmtseg.gradcheck import STEP, model_check, op_checks, run_suite, scfb_checks, tiny_mmtsn
 from mmtseg.losses import LossWeights, total_loss
 from mmtseg.model import (
     SCFB,
@@ -35,7 +24,7 @@ from mmtseg.model import (
 )
 from mmtseg.phantom import LabelVolume, derive_regions, generate_phantom
 from mmtseg.pipeline import normalize
-from mmtseg.tensor import ShapeError, Tensor, no_grad
+from mmtseg.tensor import ShapeError, Tensor, no_grad, replayer
 from mmtseg.trainer import AdamState, TrainConfig, load_checkpoint, save_checkpoint
 
 
@@ -84,33 +73,36 @@ class TestSCFB:
         results = scfb_checks(seed=0)
         assert all(r.passed for r in results), [r.line() for r in results if not r.passed]
 
-    def test_staged_check_values_bitwise_equal_full_block(self, monkeypatch):
-        # the staged outputs feed every central difference of `scfb_checks`;
-        # the `fuse` kernel and bias re-run `fuse` alone, the rest all four convs
+    def test_replayed_values_bitwise_equal_full_block(self, monkeypatch):
+        # the replayed outputs feed every central difference of `scfb_checks`;
+        # each parameter re-runs the convs downstream of it, and no other
         store, block, parts = self.make_block()
-        output_of = staged_block(block, parts)
+        root = block(parts)
+        convs = {"squeeze": 3, "excite": 2, "spatial": 2, "fuse": 1}
         calls = []
-        conv = mmtseg.model.conv3d
+        correlate = mmtseg.tensor._correlate
 
-        def spy(*args, **kwargs):
+        def spy(*args):
             calls.append(None)
-            return conv(*args, **kwargs)
+            return correlate(*args)
 
         for name, param in store.params.items():
-            output = output_of(param)
+            value = replayer(root, param)
             flat = param.data.reshape(-1)
             orig = flat[0]
-            flat[0] = orig + STEP
-            try:
-                with no_grad():
-                    full = block(parts).data
-                    with monkeypatch.context() as m:
-                        m.setattr(mmtseg.model, "conv3d", spy)
-                        staged = output().data
-            finally:
-                flat[0] = orig
-            assert np.array_equal(staged, full), name
-        assert len(calls) == 6 * 4 + 2 * 1
+            for entry in (orig + STEP, orig - STEP):
+                flat[0] = entry
+                try:
+                    with no_grad():
+                        full = block(parts).data
+                        calls.clear()
+                        with monkeypatch.context() as m:
+                            m.setattr(mmtseg.tensor, "_correlate", spy)
+                            replayed = value().data
+                finally:
+                    flat[0] = orig
+                assert np.array_equal(replayed, full), name
+                assert len(calls) == convs[name.split(".")[1]], name
 
 
 class TestForwardContracts:
@@ -362,78 +354,46 @@ class TestFullModelGradient:
         result = model_check(seed=0)
         assert result.passed, result.line()
 
-    def test_staged_objective_bitwise_equals_full_forward(self):
-        # The staged values feed every central difference; a stage that
-        # skips a part its parameter reaches can still pass the loose
-        # bound, so this equality is the gate for the staging.
-        # Each term is counted as it is computed: a stage recomputes exactly
-        # the terms that read an output it changes.
+    def test_replayed_objective_bitwise_equals_full_forward(self):
+        # The replayed values feed every central difference; a replay that
+        # skips an op its parameter reaches can still pass the loose bound,
+        # so this equality is the gate for the replay.
         graph, patch, objective = tiny_mmtsn(0)
-        runs = [0] * len(objective.terms)
-
-        def counted(i, loss):
-            def term(out):
-                runs[i] += 1
-                return loss(out)
-            return term
-
-        objective = Objective(tuple((reads, counted(i, loss))
-                                    for i, (reads, loss) in enumerate(objective.terms)))
-        value_of = staged_objective(graph, patch, objective)
-        # terms: 0 main Dice, 1-3 region Dice, 4 containment
-        dice = {"wt": 1, "tc": 2, "et": 3}
-        recomputed = {
-            "encoder": lambda r: {0, dice[r], 4},
-            "decoder": lambda r: {dice[r], 4},
-            "main": lambda r: {0},
-            "main_decoder": lambda r: {0},
-        }
-        stages = set()
+        root = objective(graph.forward(patch))
         for name, param in graph.params.items():
-            stage, region = stage_of(name)
-            stages.add((stage, region))
-            value = value_of(name)
+            value = replayer(root, param)
             flat = param.data.reshape(-1)
             orig = flat[0]
-            flat[0] = orig + STEP
-            try:
-                with no_grad():
-                    full = objective(graph.forward(patch)).item()
-                runs[:] = [0] * len(runs)
-                staged = value()
-            finally:
-                flat[0] = orig
-            assert staged == full, name
-            assert {i for i, n in enumerate(runs) if n} == recomputed[stage](region), name
-        assert stages == {("main", None), ("main_decoder", None)} | {
-            (stage, r) for stage in ("encoder", "decoder") for r in ("wt", "tc", "et")
-        }
-
-    @pytest.mark.parametrize("name", [
-        "branch_xx.enc0.kernel", "branch_wt.up0.kernel", "main", "mainx.enc0.bias", "unet.enc0.kernel",
-        "main.up0.kernel",
-    ])
-    def test_unstaged_parameter_name_raises(self, name):
-        with pytest.raises(ValueError, match="stages"):
-            stage_of(name)
+            for entry in (orig + STEP, orig - STEP):
+                flat[0] = entry
+                try:
+                    with no_grad():
+                        full = objective(graph.forward(patch)).item()
+                        replayed = value().item()
+                finally:
+                    flat[0] = orig
+                assert replayed == full, name
 
     def test_model_check_reruns_only_reached_parts(self, monkeypatch):
-        # the full forward pass per central difference made 12,168 convs;
-        # staging by sub-network made 5,868, and the main decoder stage 5,428
+        # `_correlate` runs once per forward conv and once per input gradient.
+        # A full forward pass per central difference made 12,168 convs, a
+        # hand-written staging by sub-network 5,428; replaying the ops a
+        # parameter reaches makes 3,564 correlations in all.
         calls = []
-        conv = mmtseg.model.conv3d
+        correlate = mmtseg.tensor._correlate
 
-        def spy(*args, **kwargs):
+        def spy(*args):
             calls.append(None)
-            return conv(*args, **kwargs)
+            return correlate(*args)
 
-        monkeypatch.setattr(mmtseg.model, "conv3d", spy)
+        monkeypatch.setattr(mmtseg.tensor, "_correlate", spy)
         model_check(0)
-        assert len(calls) <= 5699
+        assert len(calls) <= 3750
 
 
 class TestOpCoverage:
-    NOT_OPS = {"Tensor", "ShapeError", "set_debug_checks", "no_grad", "grad_check", "max_rel_err"}
+    NOT_OPS = {"Tensor", "ShapeError", "set_debug_checks", "no_grad", "replayer", "grad_check",
+               "max_rel_err"}
 
     def test_every_differentiable_op_runs_inside_a_check(self, monkeypatch):
         ops = (set(mmtseg.tensor.__all__) - self.NOT_OPS) | {"div"}

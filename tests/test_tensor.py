@@ -15,7 +15,9 @@ from mmtseg.tensor import (
     nearest_upsample,
     no_grad,
     relu,
+    replayer,
     sigmoid,
+    slice_channels,
     softmax_channels,
     tensor_sum,
 )
@@ -498,6 +500,83 @@ class TestNoGrad:
             with no_grad():
                 add(x, rand_tensor(rng, (2, 2, 2, 3)))
         assert relu(x)._backward is not None
+
+
+class TestReplayer:
+    @staticmethod
+    def count_calls(monkeypatch, names):
+        """Route the named ops through a spy that logs each call by name; ops
+        recorded after this replay through the spy too."""
+        calls = []
+        for name in names:
+            def spy(*args, _op=getattr(mmtseg.tensor, name), _name=name):
+                calls.append(_name)
+                return _op(*args)
+            monkeypatch.setattr(mmtseg.tensor, name, spy)
+        return calls
+
+    @staticmethod
+    def assert_replays_forward(f, x, root, value):
+        """The replayed root equals `f()` bitwise, with `x` as recorded and
+        with its last entry moved up and down."""
+        assert np.array_equal(value().data, root.data)
+        flat = x.data.reshape(-1)
+        orig = flat[-1]
+        for entry in (orig + 0.25, orig - 0.25):
+            flat[-1] = entry
+            try:
+                with no_grad():
+                    full = f().data
+                    replayed = value().data
+            finally:
+                flat[-1] = orig
+            assert np.array_equal(replayed, full)
+            assert not np.array_equal(replayed, root.data)
+
+    def test_diamond_replays_each_op_once(self, rng, monkeypatch):
+        calls = self.count_calls(monkeypatch, ["relu", "mul_broadcast", "add", "tensor_sum"])
+        x = rand_tensor(rng, (2, 2, 2, 2))
+        z = rand_tensor(rng, (2, 2, 2, 2))
+
+        def f():
+            return tensor_sum(add(relu(x), mul_broadcast(x, z)))
+
+        root = f()
+        value = replayer(root, x)
+        calls.clear()
+        value()
+        assert sorted(calls) == ["add", "mul_broadcast", "relu", "tensor_sum"]
+        self.assert_replays_forward(f, x, root, value)
+
+    def test_concat_replays_with_its_list_of_parts(self, rng):
+        x = rand_tensor(rng, (2, 2, 2, 2))
+        z = rand_tensor(rng, (1, 2, 2, 2))
+
+        def f():
+            return softmax_channels(concat_channels([sigmoid(x), z, x]))
+
+        root = f()
+        self.assert_replays_forward(f, x, root, replayer(root, x))
+
+    def test_scalar_arguments_are_replayed(self, rng):
+        x = rand_tensor(rng, (3, 2, 2, 2))
+
+        def f():
+            return slice_channels(mul_broadcast(add(x, 0.5), -3.0), 1, 3)
+
+        root = f()
+        self.assert_replays_forward(f, x, root, replayer(root, x))
+
+    def test_unreached_leaf_replays_nothing(self, rng, monkeypatch):
+        calls = self.count_calls(monkeypatch, ["relu", "tensor_sum"])
+        x = rand_tensor(rng, (2, 2, 2, 2))
+        unused = rand_tensor(rng, (2, 2, 2, 2))
+        root = tensor_sum(relu(x))
+        value = replayer(root, unused)
+        calls.clear()
+        unused.data += 1.0
+        assert value() is root
+        assert calls == []
 
 
 class TestDeterminismAndChecks:
