@@ -6,10 +6,10 @@ a 1e-3 bound. The whole-model check samples 8 seeded coordinates from every
 parameter tensor and uses a looser 1e-2 bound to absorb composition depth.
 
 The fusion-block and whole-model checks record their objective once and,
-per parameter, replay only the ops that parameter reaches (`T.replayer`);
-every other value comes from the recording. Every op depends only on its
-operands, and each perturbed entry is restored bit for bit, so every
-replayed value is bitwise the one a full forward pass gives.
+per checked tensor, replay only the array kernels of the ops it reaches
+(`T.replayer`); every other value comes from the recording. One kernel
+computes each op's values on both paths, and each perturbed entry is
+restored bit for bit, so every replayed value is bitwise a full forward's.
 """
 
 from __future__ import annotations
@@ -131,16 +131,14 @@ def scfb_checks(seed=0):
     parts = [_rand(rng, (1, 3, 3, 3)) for _ in range(4)]
 
     # grad_check perturbs the tensor it is handed in place, and the replay
-    # reads the live parameter objects, so the closures ignore their argument
+    # reads the live tensors, so the closures ignore their argument
     results = []
-    root = _probe(30)(block(parts))
-    for name, param in store.params.items():
-        value = T.replayer(root, param)
-        err = T.grad_check(lambda _: value(), param, step=STEP)
-        results.append(CheckResult(f"scfb/{name}", err, OP_TOL))
-    probe = _probe(31)
-    err = T.grad_check(lambda _: probe(block(parts)), parts[0], step=STEP)
-    results.append(CheckResult("scfb/input", err, OP_TOL))
+    recorded = _probe(30)(block(parts))
+    checks = [(f"scfb/{name}", param, recorded) for name, param in store.params.items()]
+    for name, x, root in [*checks, ("scfb/input", parts[0], _probe(31)(block(parts)))]:
+        value = T.replayer(root, x)
+        err = T.grad_check(lambda _: value(), x, step=STEP)
+        results.append(CheckResult(name, err, OP_TOL))
     return results
 
 
@@ -179,9 +177,9 @@ def model_check(seed=0):
 
     The analytic gradients come from one backward pass over the recorded
     objective of `graph.forward`. Each central difference replays only the
-    ops the perturbed parameter reaches (`T.replayer`) and reads the rest
-    from that recording, so every value is bitwise the one a full forward
-    pass gives.
+    kernels of the ops the perturbed parameter reaches (`T.replayer`) and
+    reads the rest from that recording, so every value is bitwise the one a
+    full forward pass gives.
     """
     graph, patch, objective = tiny_mmtsn(seed)
     graph.zero_grads()

@@ -127,6 +127,7 @@ class TestCriterion5PipelineRoundTrip:
 
 
 class TestCriterion6OverfitExperiment:
+    @pytest.mark.slow
     def test_overfit_single_phantom(self, tmp_path):
         t0 = time.time()
         config = TrainConfig(

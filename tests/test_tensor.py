@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -505,14 +507,15 @@ class TestNoGrad:
 class TestReplayer:
     @staticmethod
     def count_calls(monkeypatch, names):
-        """Route the named ops through a spy that logs each call by name; ops
-        recorded after this replay through the spy too."""
+        """Route the array kernels of the named ops through a spy that logs
+        each call by op name; ops recorded after this replay through the spy
+        too."""
         calls = []
         for name in names:
-            def spy(*args, _op=getattr(mmtseg.tensor, name), _name=name):
+            def spy(*args, _kernel=getattr(mmtseg.tensor, "_" + name), _name=name):
                 calls.append(_name)
-                return _op(*args)
-            monkeypatch.setattr(mmtseg.tensor, name, spy)
+                return _kernel(*args)
+            monkeypatch.setattr(mmtseg.tensor, "_" + name, spy)
         return calls
 
     @staticmethod
@@ -543,9 +546,11 @@ class TestReplayer:
 
         root = f()
         value = replayer(root, x)
-        calls.clear()
-        value()
-        assert sorted(calls) == ["add", "mul_broadcast", "relu", "tensor_sum"]
+        for record in (no_grad, contextlib.nullcontext):
+            calls.clear()
+            with record():
+                value()
+            assert sorted(calls) == ["add", "mul_broadcast", "relu", "tensor_sum"]
         self.assert_replays_forward(f, x, root, value)
 
     def test_concat_replays_with_its_list_of_parts(self, rng):
@@ -576,7 +581,77 @@ class TestReplayer:
         calls.clear()
         unused.data += 1.0
         assert value() is root
+        with no_grad():
+            assert value() is root
         assert calls == []
+
+    def test_recorded_replay_backward_walks_only_the_replay(self, rng):
+        x = rand_tensor(rng, (2, 2, 2, 2))
+        y = rand_tensor(rng, (2, 2, 2, 2))
+        root = tensor_sum(mul_broadcast(relu(x), sigmoid(y)))
+        root.backward()
+        expected = x.grad.copy()
+        x.zero_grad()
+        y.zero_grad()
+        replayer(root, x)().backward()
+        assert np.array_equal(bits(x.grad), bits(expected))
+        assert y.grad is None  # sigmoid(y) entered the replay as a graph-free copy
+
+    # every op in `__all__` but these, plus `div`, which `Tensor.__truediv__` calls
+    NOT_OPS = {"Tensor", "ShapeError", "set_debug_checks", "no_grad", "replayer", "grad_check",
+               "max_rel_err"}
+
+    def test_every_op_kind_replays_bitwise_without_making_tensors(self, rng, monkeypatch):
+        x = rand_tensor(rng, (2, 4, 4, 4))
+        k = rand_tensor(rng, (3, 2, 3, 3, 3))
+        b = rand_tensor(rng, (3,))
+        w = rand_tensor(rng, (5, 4, 4, 4))
+
+        def f():
+            h = relu(conv3d(x, k, b))
+            u = nearest_upsample(sigmoid(max_pool3d(h)))
+            # per-channel, then per-voxel attention weights
+            gated = mul_broadcast(mul_broadcast(u, global_avg_pool(u)), slice_channels(h, 1, 2))
+            s = tensor_sum(mul_broadcast(softmax_channels(concat_channels([gated, x])), w))
+            return add(mul_broadcast(s, 3.0), 0.5) / add(tensor_sum(h), 1.0) / 4.0
+
+        root = f()
+        graph = mmtseg.tensor._topo_order(root)
+        recorded = {node._call[0].__name__ for node in graph if node._call is not None}
+        assert recorded == set(mmtseg.tensor.__all__) - self.NOT_OPS | {"div"}
+
+        made = []
+        make = mmtseg.tensor._make
+
+        def spy(*args):
+            made.append(None)
+            return make(*args)
+
+        monkeypatch.setattr(mmtseg.tensor, "_make", spy)
+        for leaf in (x, k, b, w):
+            value = replayer(root, leaf)
+            flat = leaf.data.reshape(-1)
+            orig = flat[0]
+            for entry in (orig + 0.25, orig - 0.25):
+                flat[0] = entry
+                try:
+                    with no_grad():
+                        full = f().data
+                        made.clear()
+                        replayed = value().data
+                finally:
+                    flat[0] = orig
+                assert made == []
+                assert np.array_equal(bits(replayed), bits(full))
+
+    def test_debug_checks_flag_a_replayed_overflow(self, rng):
+        x = rand_tensor(rng, (2, 2, 2, 2))
+        root = tensor_sum(mul_broadcast(x, 4.0))
+        value = replayer(root, x)
+        x.data[0, 0, 0, 0] = 3e38  # ×4 overflows float32
+        mmtseg.tensor.set_debug_checks(True)
+        with no_grad(), np.errstate(over="ignore"), pytest.raises(FloatingPointError):
+            value()
 
 
 class TestDeterminismAndChecks:
@@ -631,6 +706,17 @@ class TestDeterminismAndChecks:
             with pytest.raises(RuntimeError):
                 mmtseg.tensor._central_differences(value, flat, [1], 1e-3)
             assert flat.tobytes() == kept
+
+    def test_grad_check_objective_off_the_graph_fails(self, rng):
+        # the objective reads x's values outside the ops, so x gets no gradient:
+        # analytic 0 against numeric 2 is a failed check, not a crash
+        x = rand_tensor(rng, (2, 2, 2, 2))
+        assert grad_check(lambda t: tensor_sum(Tensor(t.data * 2)), x) == 1.0
+
+    def test_grad_check_objective_ignoring_input_passes(self, rng):
+        x = rand_tensor(rng, (2, 2, 2, 2))
+        other = rand_tensor(rng, (2, 2, 2, 2))
+        assert grad_check(lambda t: tensor_sum(other), x) == 0.0
 
     def test_grad_check_restores_requires_grad_when_f_raises(self, rng):
         x = rand_tensor(rng, (2, 2, 2, 2), requires_grad=False)
