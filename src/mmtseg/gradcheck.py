@@ -7,9 +7,13 @@ parameter tensor and uses a looser 1e-2 bound to absorb composition depth.
 
 The fusion-block and whole-model checks record their objective once and,
 per checked tensor, replay only the array kernels of the ops it reaches
-(`T.replayer`); every other value comes from the recording. One kernel
-computes each op's values on both paths, and each perturbed entry is
-restored bit for bit, so every replayed value is bitwise a full forward's.
+(`T.replayer`); every other value comes from the recording. The per-op
+and fusion-block checks evaluate one perturbation at a time. The
+whole-model check stacks all 2·k ± perturbations of a tensor as lanes of
+one replay (k ≤ 8), and each kernel runs once for all of them. One kernel
+computes each op's values on every path, a lane's perturbed entry is the
+float32 value a one-at-a-time check would write, and each lane is bitwise
+its own replay, so every replayed value is bitwise a full forward's.
 """
 
 from __future__ import annotations
@@ -176,10 +180,10 @@ def model_check(seed=0):
     """Sampled finite-difference check of a whole tiny model's parameters.
 
     The analytic gradients come from one backward pass over the recorded
-    objective of `graph.forward`. Each central difference replays only the
-    kernels of the ops the perturbed parameter reaches (`T.replayer`) and
-    reads the rest from that recording, so every value is bitwise the one a
-    full forward pass gives.
+    objective of `graph.forward`. The central differences of a parameter
+    tensor replay only the kernels of the ops it reaches (`T.replayer`),
+    once, with its 2·k perturbations as lanes, and read the rest from that
+    recording, so every value is bitwise the one a full forward pass gives.
     """
     graph, patch, objective = tiny_mmtsn(seed)
     graph.zero_grads()
@@ -191,12 +195,27 @@ def model_check(seed=0):
     rng = np.random.default_rng(seed + 99)
     worst = 0.0
     for name, param in graph.params.items():
-        flat = param.data.reshape(-1)
-        coords = rng.choice(flat.size, size=min(COORDS_PER_TENSOR, flat.size), replace=False)
-        value = T.replayer(root, param)
-        numeric = T._central_differences(lambda: value().item(), flat, coords, STEP)
+        n = param.data.size
+        coords = rng.choice(n, size=min(COORDS_PER_TENSOR, n), replace=False)
+        numeric = _lane_differences(T.replayer(root, param), param.data, coords, STEP)
         worst = max(worst, T.max_rel_err(analytic[name].reshape(-1)[coords], numeric))
     return CheckResult("full-model (tiny MMTSN)", worst, MODEL_TOL)
+
+
+def _lane_differences(value, data, coords, step):
+    """(value at +step − value at −step) / (2·step) at each of `coords` of
+    the flattened `data`, all from one call `value(lanes)` (see `T.replayer`):
+    lane n moves coordinate n up by `step`, lane k + n moves it down, and
+    `data` itself is left as it is."""
+    k = len(coords)
+    lanes = np.repeat(data[np.newaxis], 2 * k, 0)
+    flat = lanes.reshape(2, k, -1)
+    for n, i in enumerate(coords):
+        orig = data.flat[i]
+        flat[0, n, i] = orig + step
+        flat[1, n, i] = orig - step
+    up, down = value(lanes).astype(np.float64).reshape(2, k)
+    return (up - down) / (2.0 * step)
 
 
 def run_suite(seed=0):

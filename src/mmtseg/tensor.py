@@ -22,7 +22,11 @@ does not map and fault in fresh memory on every call.
 
 Every op computes its output with one array kernel, and every graph node
 keeps the op, kernel and arguments that made it, so `replayer` can re-run
-just the kernels downstream of one input. `grad_check` evaluates `f` itself
+just the kernels downstream of one input. A replay can also take B values
+of that input at once as lanes: every replayed array then has a leading
+lane axis, each kernel runs once for all lanes, and each lane is bitwise a
+replay of its own. The calls the ops make carry no lanes. A replay frees
+each value after its last consumer. `grad_check` evaluates `f` itself
 under `no_grad` for its central differences: the same values, and no graph.
 """
 
@@ -248,14 +252,35 @@ def _reduce_to(g, kind):
 # then its non-tensor arguments: the float32 output, paired with what the backward
 # closure keeps if it keeps anything. `replayer` runs the same kernels; there, scalars
 # stay numpy scalars, whose operators cost a tenth of a ufunc call.
+#
+# In a replay with lanes (`_lanes` > 0) every array that depends on the replayed
+# leaf has one leading lane axis more than its recorded value; the other operands
+# are the recorded arrays. The channel axis of a map is −4 and its spatial axes
+# −3…−1 either way, and elementwise kernels broadcast the lane axis as it comes.
+_lanes = 0
 _add = operator.add
 _mul_broadcast = operator.mul
-_div = lambda a, b: a / b.flat[0]
-_tensor_sum = lambda x: np.float32(x.sum(dtype=np.float64))
-_global_avg_pool = lambda x: x.mean((1, 2, 3), np.float64, keepdims=True).astype(np.float32)
-_slice_channels = lambda x, start, stop: x[start:stop].copy()
-_concat_channels = lambda *parts: np.concatenate(parts, axis=0)
-_nearest_upsample = lambda x: np.repeat(np.repeat(np.repeat(x, 2, axis=1), 2, axis=2), 2, axis=3)
+_global_avg_pool = lambda x: x.mean((-3, -2, -1), np.float64, keepdims=True).astype(np.float32)
+_slice_channels = lambda x, start, stop: x[..., start:stop, :, :, :].copy()
+_nearest_upsample = lambda x: np.repeat(np.repeat(np.repeat(x, 2, -3), 2, -2), 2, -1)
+
+
+def _tensor_sum(x):
+    if _lanes:  # the operand of a replayed sum always has lanes
+        return np.float32(x.reshape(_lanes, -1).sum(1, dtype=np.float64))
+    return np.float32(x.sum(dtype=np.float64))
+
+
+def _div(a, b):
+    if _lanes and b.size == _lanes:  # one divisor per lane; the dividend has lanes or is 0-d
+        return a / b.reshape(-1, *(1,) * (a.ndim - 1))
+    return a / b.flat[0]
+
+
+def _concat_channels(*parts):
+    if _lanes:  # recorded maps repeat across the lanes
+        parts = [p if p.ndim == 5 else np.broadcast_to(p, (_lanes, *p.shape)) for p in parts]
+    return np.concatenate(parts, axis=-4)
 
 
 def add(a, b):
@@ -322,7 +347,8 @@ def _sigmoid(d):
     out = np.maximum(e, d >= 0)  # 1 / (1 + e) for d ≥ 0, else e / (1 + e)
     e += 1
     out /= e
-    return np.clip(out, _SIGMOID_LO, _SIGMOID_HI, out=out)
+    np.maximum(out, _SIGMOID_LO, out=out)  # np.clip's Python dispatch costs more than this
+    return np.minimum(out, _SIGMOID_HI, out=out)
 
 
 def sigmoid(x):
@@ -337,9 +363,9 @@ def sigmoid(x):
 
 def _softmax_channels(x):
     z = x.astype(np.float64)
-    z -= z.max(axis=0, keepdims=True)
+    z -= z.max(axis=-4, keepdims=True)
     e = np.exp(z)
-    s = e / e.sum(axis=0, keepdims=True)
+    s = e / e.sum(axis=-4, keepdims=True)
     return s.astype(np.float32), s
 
 
@@ -471,10 +497,14 @@ def _kernel_grad(g, taps, kshape):
     return gk.transpose(3, 4, 0, 1, 2)
 
 
-def _grid(flat, extents, plane, row, lead=0):
+def _grid(flat, extents, plane, row, lead=0, lanes=0, length=0):
     """Voxels of a C-contiguous flat map: (z, y, x) is column
-    lead + z·plane + y·row + x."""
+    lead + z·plane + y·row + x. With `lanes`, a lanes×C×D×H×W view whose
+    lane n starts n·`length` columns further on."""
     rs, cs = flat.strides
+    if lanes:
+        return _view(flat, (lanes, flat.shape[0], *extents), (length * cs, rs, plane * cs, row * cs, cs),
+                     lead)
     return _view(flat, (flat.shape[0], *extents), (rs, plane * cs, row * cs, cs), lead)
 
 
@@ -484,28 +514,46 @@ def _layout(a, kshape):
     plane stride P = (H + ph)·R, voxel (z, y, x) at column lead + z·P + y·R + x
     with lead = pd·P + ph·R + pw, zeros elsewhere. The pw zeros after a row
     also pad the left of the next row, and the ph zero rows after a plane the
-    top of the next one. Returns (buffer, lead, P, R)."""
-    c, d, h, w = a.shape
+    top of the next one. The lanes of a B×C×D×H×W map lie end to end, lane n
+    n·L columns on with L = (D + pd)·P, so the pd zero planes after a lane
+    also pad the top of the next one. Returns (buffer, lead, P, R, L)."""
+    c, d, h, w = a.shape[-4:]
+    lanes = len(a) if a.ndim == 5 else 0
     pd, ph, pw = (n // 2 for n in kshape)
     row = w + pw
     plane = (h + ph) * row
     lead = pd * plane + ph * row + pw
-    # the last tap of the last voxel reads the final element of the d + pd planes
-    flat = np.zeros((c, lead + (d + pd) * plane))
-    _grid(flat, (d, h, w), plane, row, lead)[...] = a
-    return flat, lead, plane, row
+    length = (d + pd) * plane
+    # the last tap of the last voxel reads the final element of the last d + pd planes
+    flat = np.zeros((c, lead + (lanes or 1) * length))
+    _grid(flat, (d, h, w), plane, row, lead, lanes, length)[...] = a
+    return flat, lead, plane, row, length
 
 
 def _conv3d(x, kernel, bias):
-    kshape = kernel.shape[2:]
-    d, h, w = extents = x.shape[1:]
-    xp, lead, plane, row = _layout(x, kshape)
-    span = (d - 1) * plane + (h - 1) * row + w
+    """The output of `conv3d` and what its backward keeps. Lanes may lead the
+    input (B×C×D×H×W), the kernel (B×O×C×kd×kh×kw) or the bias (B×O), and
+    each lane's output is bitwise that of a call on that lane alone: input
+    lanes share one flat layout (see `_layout`), kernel lanes are the B·O
+    rows of one contraction, and bias lanes are added after it."""
+    lanes = len(x) if x.ndim == 5 else 0
+    if lanes and kernel.ndim == 6:  # lanes on both: one lane at a time
+        bias = np.broadcast_to(bias, (lanes, bias.shape[-1]))
+        return np.stack([_conv3d(*lane)[0] for lane in zip(x, kernel, bias)]), None, None, None
+    kshape = kernel.shape[-3:]
+    d, h, w = extents = x.shape[-3:]
+    xp, lead, plane, row, length = _layout(x, kshape)
+    span = max(lanes - 1, 0) * length + (d - 1) * plane + (h - 1) * row + w
     x_taps = _taps(xp, span, kshape, plane, row)
     k64 = kernel.astype(np.float64)
     # backward remakes the im2col copy: holding it in the graph raises peak memory
-    out = _grid(_correlate(k64, x_taps), extents, plane, row)
-    out = out + bias.astype(np.float64).reshape(-1, 1, 1, 1)
+    if kernel.ndim == 6:
+        b, o = kernel.shape[:2]
+        out = _correlate(k64.reshape(b * o, *kernel.shape[2:]), x_taps)
+        out = _grid(out, extents, plane, row).reshape(b, o, *extents)
+    else:
+        out = _grid(_correlate(k64, x_taps), extents, plane, row, 0, lanes, length)
+    out = out + bias.astype(np.float64)[..., np.newaxis, np.newaxis, np.newaxis]
     return out.astype(np.float32), (lead, plane, row, span), x_taps, k64
 
 
@@ -566,10 +614,12 @@ def conv3d(x, kernel, bias):
 
 
 def _max_pool3d(x):
-    c, d, h, w = x.shape
-    # a dx×dy×dz×C×D'×H'×W' view, reduced over dx, then dy, then dz; on a tie
-    # np.maximum(second, m) returns m, so each stage keeps the first maximum
-    stages = [x.reshape(c, d // 2, 2, h // 2, 2, w // 2, 2).transpose(6, 4, 2, 0, 1, 3, 5)]
+    *lanes, c, d, h, w = x.shape
+    n = len(lanes)
+    # a dx×dy×dz×[B×]C×D'×H'×W' view, reduced over dx, then dy, then dz; on a
+    # tie np.maximum(second, m) returns m, so each stage keeps the first maximum
+    blocks = x.reshape(*lanes, c, d // 2, 2, h // 2, 2, w // 2, 2)
+    stages = [blocks.transpose(n + 6, n + 4, n + 2, *range(n + 1), n + 1, n + 3, n + 5)]
     for _ in range(3):
         first, second = stages[-1]
         m = first.copy()
@@ -624,7 +674,8 @@ def nearest_upsample(x):
 
 
 def replayer(root, leaf):
-    """`value()`: `root` recomputed from the current data of `leaf`.
+    """`value(lanes=None)`: `root` recomputed from the current data of `leaf`,
+    or from B stacked values of it.
 
     `root` must have been made with the graph recorded. `value()` re-runs,
     in forward order, the recorded ops that `leaf` reaches, each on the
@@ -637,6 +688,13 @@ def replayer(root, leaf):
     Ops depend only on their operands, so after an in-place change to
     `leaf.data` the value is bitwise that of a full forward pass.
 
+    `value(lanes)` takes a B×`leaf.shape` array and returns the B×`root.shape`
+    array of root values, lane n bitwise that of `value()` with `leaf.data`
+    set to `lanes[n]`. It runs each reached kernel once, with the lanes as
+    the leading axis of every replayed value (see `_conv3d`), and shares the
+    recorded values among the lanes. Either way a replayed value is freed
+    after its last consumer.
+
     Replay freezes Python control flow at the recorded pass: a branch taken
     on a value, such as the zero-mass branch of
     `losses.spatial_constraint_loss`, stays as it was recorded, and tensors
@@ -644,30 +702,45 @@ def replayer(root, leaf):
     """
     if not hasattr(root, "_ancestors"):  # one graph walk per recording, not per leaf
         root._ancestors = _topo_order(root)[:0:-1]  # forward order; no cycle through root
-    plan = []  # the reached nodes, each parent a position in the replay or a recorded array
-    at = {}
+    # the reached nodes, each with its parents (positions in the replay or recorded
+    # arrays) and the positions it is the last consumer of, which it frees
+    plan = []
+    at = {id(leaf): 0}  # position 0 holds the leaf's value
     for node in (*root._ancestors, root):
-        if any(p is leaf or id(p) in at for p in node._parents):
-            at[id(node)] = len(plan)
-            plan.append((node, [at.get(id(p), p.data) for p in node._parents]))
+        if any(id(p) in at for p in node._parents):
+            at[id(node)] = len(plan) + 1
+            plan.append((node, [at.get(id(p), p.data) for p in node._parents], []))
+    last = {p: step for step, (_, parents, _) in enumerate(plan) for p in parents if type(p) is int}
+    for p, step in last.items():
+        plan[step][2].append(p)
 
-    def value():
-        now = []
-        for node, parents in plan:
-            op, kernel, extra = node._call
-            if _grad_enabled:  # recorded parents but `leaf` enter as graph-free copies
-                args = [now[p] if type(p) is int else t if t is leaf else Tensor(p, t.requires_grad)
-                        for p, t in zip(parents, node._parents)]
-                now.append(op(args) if op is concat_channels else op(*args, *extra))
-                continue
-            out = kernel(*[now[p] if type(p) is int else p for p in parents], *extra)
-            if type(out) is tuple:  # the output and what the op's backward keeps
-                out = out[0]
-            _check_finite(out, "op output")
-            now.append(out)
-        if not now:
-            return root
-        return now[-1] if _grad_enabled else Tensor(now[-1])
+    def value(lanes=None):
+        global _lanes
+        graph = _grad_enabled and lanes is None
+        now = [leaf if graph else leaf.data if lanes is None else lanes]
+        _lanes = 0 if lanes is None else len(lanes)
+        try:
+            for node, parents, free in plan:
+                op, kernel, extra = node._call
+                if graph:  # recorded parents enter as graph-free copies
+                    args = [now[p] if type(p) is int else Tensor(p, t.requires_grad)
+                            for p, t in zip(parents, node._parents)]
+                    out = op(args) if op is concat_channels else op(*args, *extra)
+                else:
+                    out = kernel(*[now[p] if type(p) is int else p for p in parents], *extra)
+                    if type(out) is tuple:  # the output and what the op's backward keeps
+                        out = out[0]
+                    if _lanes and out.shape != (_lanes, *node.data.shape):
+                        raise ShapeError(f"{op.__name__} cannot replay lanes of these operands")
+                    _check_finite(out, "op output")
+                for p in free:
+                    now[p] = None
+                now.append(out)
+        finally:
+            _lanes = 0
+        if len(now) == 1:  # `leaf` does not reach `root`
+            return root if lanes is None else np.repeat(root.data[np.newaxis], len(lanes), 0)
+        return now[-1] if graph or lanes is not None else Tensor(now[-1])
 
     return value
 

@@ -377,8 +377,10 @@ class TestFullModelGradient:
     def test_model_check_reruns_only_reached_parts(self, monkeypatch):
         # `_correlate` runs once per forward conv and once per input gradient.
         # A full forward pass per central difference made 12,168 convs, a
-        # hand-written staging by sub-network 5,428; replaying the ops a
-        # parameter reaches makes 3,564 correlations in all.
+        # hand-written staging by sub-network 5,428, and one replay of the ops
+        # a parameter reaches per perturbation 3,564. With every perturbation
+        # of a parameter tensor a lane of one replay, the recording pass makes
+        # 44 correlations and the 48 replays 310, each reached conv once.
         calls = []
         correlate = mmtseg.tensor._correlate
 
@@ -388,7 +390,21 @@ class TestFullModelGradient:
 
         monkeypatch.setattr(mmtseg.tensor, "_correlate", spy)
         model_check(0)
-        assert len(calls) <= 3750
+        assert len(calls) <= 360
+
+    def test_lanes_give_the_errors_of_one_perturbation_at_a_time(self, monkeypatch):
+        laned = [model_check(seed).max_err for seed in range(4)]
+
+        calls = []
+
+        def one_at_a_time(value, data, coords, step):
+            calls.append(None)
+            return mmtseg.tensor._central_differences(lambda: value().item(), data.reshape(-1),
+                                                      coords, step)
+
+        monkeypatch.setattr(mmtseg.gradcheck, "_lane_differences", one_at_a_time)
+        assert [model_check(seed).max_err for seed in range(4)] == laned
+        assert len(calls) == 4 * 48  # one per parameter tensor
 
 
 class TestOpCoverage:

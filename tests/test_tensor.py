@@ -583,6 +583,8 @@ class TestReplayer:
         assert value() is root
         with no_grad():
             assert value() is root
+        lanes = np.repeat(unused.data[np.newaxis], 3, 0)
+        assert np.array_equal(value(lanes), np.repeat(root.data, 3))
         assert calls == []
 
     def test_recorded_replay_backward_walks_only_the_replay(self, rng):
@@ -601,7 +603,9 @@ class TestReplayer:
     NOT_OPS = {"Tensor", "ShapeError", "set_debug_checks", "no_grad", "replayer", "grad_check",
                "max_rel_err"}
 
-    def test_every_op_kind_replays_bitwise_without_making_tensors(self, rng, monkeypatch):
+    @staticmethod
+    def every_op_kind(rng):
+        """Leaves x, k, b, w and a scalar objective `f` of them that runs every op."""
         x = rand_tensor(rng, (2, 4, 4, 4))
         k = rand_tensor(rng, (3, 2, 3, 3, 3))
         b = rand_tensor(rng, (3,))
@@ -615,6 +619,28 @@ class TestReplayer:
             s = tensor_sum(mul_broadcast(softmax_channels(concat_channels([gated, x])), w))
             return add(mul_broadcast(s, 3.0), 0.5) / add(tensor_sum(h), 1.0) / 4.0
 
+        return (x, k, b, w), f
+
+    @staticmethod
+    def assert_lanes_replay_forward(f, leaf, value, entries):
+        """`value` of lanes that move each of `entries` of `leaf` up, then
+        down, by 0.25 equals, lane by lane, `f()` with `leaf` so moved."""
+        lanes = np.repeat(leaf.data[np.newaxis], 2 * len(entries), 0)
+        for n, (i, delta) in enumerate((i, d) for i in entries for d in (0.25, -0.25)):
+            lanes[n].flat[i] += np.float32(delta)
+        replayed = value(lanes)
+        kept = leaf.data.copy()
+        for lane, got in zip(lanes, replayed):
+            leaf.data[...] = lane
+            try:
+                with no_grad():
+                    full = f().data
+            finally:
+                leaf.data[...] = kept
+            assert np.array_equal(bits(got), bits(full))
+
+    def test_every_op_kind_replays_bitwise_without_making_tensors(self, rng, monkeypatch):
+        (x, k, b, w), f = self.every_op_kind(rng)
         root = f()
         graph = mmtseg.tensor._topo_order(root)
         recorded = {node._call[0].__name__ for node in graph if node._call is not None}
@@ -643,6 +669,31 @@ class TestReplayer:
                     flat[0] = orig
                 assert made == []
                 assert np.array_equal(bits(replayed), bits(full))
+
+    def test_every_op_kind_replays_lanes_bitwise(self, rng):
+        leaves, f = self.every_op_kind(rng)
+        root = f()
+        for leaf in leaves:
+            value = replayer(root, leaf)
+            entries = [0, leaf.data.size // 2, leaf.data.size - 1]
+            self.assert_lanes_replay_forward(f, leaf, value, entries)
+
+    def test_lanes_of_a_divisor(self, rng):
+        x = rand_tensor(rng, (2, 2, 2, 2))
+        y = rand_tensor(rng, (2, 2, 2, 2))
+
+        def f():  # the dividend does not depend on x
+            return add(tensor_sum(y), 2.0) / add(tensor_sum(relu(x)), 1.0)
+
+        root = f()
+        self.assert_lanes_replay_forward(f, x, replayer(root, x), [0, 5])
+        # a recorded dividend with lanes only in the divisor must be a scalar;
+        # a map fails whether or not its leading extent is the lane count
+        s = add(tensor_sum(relu(x)), 1.0)
+        for lane_count in (3, 2):
+            lanes = np.repeat(x.data[np.newaxis], lane_count, 0)
+            with pytest.raises(ValueError):
+                replayer(mul_broadcast(y, 1.0) / s, x)(lanes)
 
     def test_debug_checks_flag_a_replayed_overflow(self, rng):
         x = rand_tensor(rng, (2, 2, 2, 2))
