@@ -5,15 +5,17 @@ Per-op and fusion-block checks probe every coordinate at step 1e-3 against
 a 1e-3 bound. The whole-model check samples 8 seeded coordinates from every
 parameter tensor and uses a looser 1e-2 bound to absorb composition depth.
 
-The fusion-block and whole-model checks record their objective once and,
-per checked tensor, replay only the array kernels of the ops it reaches
-(`T.replayer`); every other value comes from the recording. The per-op
-and fusion-block checks evaluate one perturbation at a time. The
-whole-model check stacks all 2·k ± perturbations of a tensor as lanes of
-one replay (k ≤ 8), and each kernel runs once for all of them. One kernel
-computes each op's values on every path, a lane's perturbed entry is the
-float32 value a one-at-a-time check would write, and each lane is bitwise
-its own replay, so every replayed value is bitwise a full forward's.
+Every check records its objective, takes the analytic gradient from one
+backward pass over it, and takes its central differences from replays of
+that recording that run only the array kernels of the ops the checked
+tensor reaches (`T.replayer`); every other value comes from the recording.
+A replay stacks all ± perturbations of a tensor as lanes, and each kernel
+runs once for all of them. A lane's perturbed entry is the float32 value a
+one-at-a-time check would write, and each lane is bitwise its own forward
+pass, so every difference is the one a full forward pass per perturbation
+gives. The per-op and fusion-block checks go through `T.grad_check`, whose
+extra guard lane must match the objective evaluated again; the whole-model
+check records one objective for all its parameter tensors.
 """
 
 from __future__ import annotations
@@ -134,14 +136,13 @@ def scfb_checks(seed=0):
     block = SCFB(store, "scfb", in_ch=4, out_ch=2)
     parts = [_rand(rng, (1, 3, 3, 3)) for _ in range(4)]
 
-    # grad_check perturbs the tensor it is handed in place, and the replay
-    # reads the live tensors, so the closures ignore their argument
+    # grad_check moves the tensor it is handed in place, and the block reads
+    # the live tensors, so the objective ignores its argument
     results = []
-    recorded = _probe(30)(block(parts))
-    checks = [(f"scfb/{name}", param, recorded) for name, param in store.params.items()]
-    for name, x, root in [*checks, ("scfb/input", parts[0], _probe(31)(block(parts)))]:
-        value = T.replayer(root, x)
-        err = T.grad_check(lambda _: value(), x, step=STEP)
+    checks = [(f"scfb/{name}", param, 30) for name, param in store.params.items()]
+    for name, x, probe_seed in [*checks, ("scfb/input", parts[0], 31)]:
+        probe = _probe(probe_seed)
+        err = T.grad_check(lambda _: probe(block(parts)), x, step=STEP)
         results.append(CheckResult(name, err, OP_TOL))
     return results
 
@@ -184,6 +185,8 @@ def model_check(seed=0):
     tensor replay only the kernels of the ops it reaches (`T.replayer`),
     once, with its 2·k perturbations as lanes, and read the rest from that
     recording, so every value is bitwise the one a full forward pass gives.
+    It evaluates the objective once, so unlike `T.grad_check` no lane of it
+    is tested against a second evaluation.
     """
     graph, patch, objective = tiny_mmtsn(seed)
     graph.zero_grads()
@@ -197,25 +200,9 @@ def model_check(seed=0):
     for name, param in graph.params.items():
         n = param.data.size
         coords = rng.choice(n, size=min(COORDS_PER_TENSOR, n), replace=False)
-        numeric = _lane_differences(T.replayer(root, param), param.data, coords, STEP)
+        numeric, _ = T._central_differences(T.replayer(root, param), param.data, coords, STEP)
         worst = max(worst, T.max_rel_err(analytic[name].reshape(-1)[coords], numeric))
     return CheckResult("full-model (tiny MMTSN)", worst, MODEL_TOL)
-
-
-def _lane_differences(value, data, coords, step):
-    """(value at +step − value at −step) / (2·step) at each of `coords` of
-    the flattened `data`, all from one call `value(lanes)` (see `T.replayer`):
-    lane n moves coordinate n up by `step`, lane k + n moves it down, and
-    `data` itself is left as it is."""
-    k = len(coords)
-    lanes = np.repeat(data[np.newaxis], 2 * k, 0)
-    flat = lanes.reshape(2, k, -1)
-    for n, i in enumerate(coords):
-        orig = data.flat[i]
-        flat[0, n, i] = orig + step
-        flat[1, n, i] = orig - step
-    up, down = value(lanes).astype(np.float64).reshape(2, k)
-    return (up - down) / (2.0 * step)
 
 
 def run_suite(seed=0):

@@ -21,13 +21,14 @@ workspace, allocated on first use and never shrunk, so a small convolution
 does not map and fault in fresh memory on every call.
 
 Every op computes its output with one array kernel, and every graph node
-keeps the op, kernel and arguments that made it, so `replayer` can re-run
-just the kernels downstream of one input. A replay can also take B values
-of that input at once as lanes: every replayed array then has a leading
-lane axis, each kernel runs once for all lanes, and each lane is bitwise a
-replay of its own. The calls the ops make carry no lanes. A replay frees
-each value after its last consumer. `grad_check` evaluates `f` itself
-under `no_grad` for its central differences: the same values, and no graph.
+keeps the kernel and non-tensor arguments that made it, so `replayer` can
+re-run just the kernels downstream of one input, for B values of it at once
+as lanes: every replayed array has a leading lane axis, each kernel runs
+once for all lanes, and each lane is bitwise a forward pass of its own. The
+calls the ops make carry no lanes. A replay frees each value after its last
+consumer. `grad_check` records its objective once, runs one backward pass
+and takes every central difference from one replay; one more lane of it must
+match a fresh evaluation of the objective bitwise, or the check fails.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ class Tensor:
 
     Tensors produced by ops are treated as immutable. `grad` accumulates
     across `backward` calls until explicitly cleared. A graph node also
-    keeps the call that made it: `_call` is (op, array kernel, non-tensor
+    keeps the call that made it: `_call` is (array kernel, non-tensor
     arguments). A root that `replayer` has walked keeps its `_ancestors`.
     """
 
@@ -209,16 +210,16 @@ def _topo_order(root):
     return order
 
 
-def _make(data, parents, backward, op, kernel, *extra):
-    """`data` as the output of `op`, computed by its array `kernel`, on `parents`
-    and the non-tensor arguments `extra`. It joins the graph, with its backward
+def _make(data, parents, backward, kernel, *extra):
+    """`data` as the output of the array `kernel` on `parents` and the
+    non-tensor arguments `extra`. It joins the graph, with its backward
     closure and its call, when grad is on and a parent needs one."""
     out = Tensor(data)
     out.requires_grad = _grad_enabled and any(p.requires_grad for p in parents)
     if out.requires_grad:
         out._parents = tuple(parents)
         out._backward = backward
-        out._call = (op, kernel, extra)
+        out._call = (kernel, extra)
     _check_finite(out.data, "op output")
     return out
 
@@ -287,10 +288,10 @@ def add(a, b):
     """Elementwise sum; `b` may be a Python scalar."""
     if not isinstance(b, Tensor):
         s = np.float32(b)
-        return _make(_add(a.data, s), [a], lambda g: (g,), add, _add, s)
+        return _make(_add(a.data, s), [a], lambda g: (g,), _add, s)
     if a.data.shape != b.data.shape:
         raise ShapeError(f"add shape mismatch: {a.data.shape} vs {b.data.shape}")
-    return _make(_add(a.data, b.data), [a, b], lambda g: (g, g), add, _add)
+    return _make(_add(a.data, b.data), [a, b], lambda g: (g, g), _add)
 
 
 def mul_broadcast(a, b):
@@ -298,14 +299,13 @@ def mul_broadcast(a, b):
     one of the attention weights broadcast over it."""
     if not isinstance(b, Tensor):
         s = np.float32(b)
-        return _make(_mul_broadcast(a.data, s), [a], lambda g: (g * s,), mul_broadcast,
-                     _mul_broadcast, s)
+        return _make(_mul_broadcast(a.data, s), [a], lambda g: (g * s,), _mul_broadcast, s)
     kind = _broadcast_kind(a.data.shape, b.data.shape)
     if kind is None:
         raise ShapeError(f"mul shapes not broadcastable: {a.data.shape} vs {b.data.shape}")
     def backward(g):
         return (g * b.data, _reduce_to(g * a.data, kind))
-    return _make(_mul_broadcast(a.data, b.data), [a, b], backward, mul_broadcast, _mul_broadcast)
+    return _make(_mul_broadcast(a.data, b.data), [a, b], backward, _mul_broadcast)
 
 
 def div(a, b):
@@ -321,7 +321,7 @@ def div(a, b):
             -np.sum(g.astype(np.float64) * a.data) / (bv * bv), dtype=np.float32
         ).reshape(b.data.shape)
         return (ga, gb)
-    return _make(_div(a.data, b.data), [a, b], backward, div, _div)
+    return _make(_div(a.data, b.data), [a, b], backward, _div)
 
 
 def _relu(x):
@@ -333,7 +333,7 @@ def _relu(x):
 def relu(x):
     """max(0, x), with +0 for x ≤ 0 and NaN for NaN; subgradient at 0 is 0."""
     out = _relu(x.data)
-    return _make(out, [x], lambda g: (g * (out > 0),), relu, _relu)
+    return _make(out, [x], lambda g: (g * (out > 0),), _relu)
 
 
 # smallest/largest float32 strictly inside (0, 1)
@@ -358,7 +358,7 @@ def sigmoid(x):
     which kills the gradient exactly and freezes training permanently.
     """
     out = _sigmoid(x.data)
-    return _make(out, [x], lambda g: (g * out * (1.0 - out),), sigmoid, _sigmoid)
+    return _make(out, [x], lambda g: (g * out * (1.0 - out),), _sigmoid)
 
 
 def _softmax_channels(x):
@@ -377,13 +377,13 @@ def softmax_channels(x):
     def backward(g):
         gs = g.astype(np.float64) * s
         return ((gs - s * gs.sum(axis=0, keepdims=True)),)
-    return _make(out, [x], backward, softmax_channels, _softmax_channels)
+    return _make(out, [x], backward, _softmax_channels)
 
 
 def tensor_sum(x):
     """Sum of all elements as a scalar tensor (float64 accumulator)."""
     return _make(_tensor_sum(x.data), [x], lambda g: (np.broadcast_to(g, x.data.shape),),
-                 tensor_sum, _tensor_sum)
+                 _tensor_sum)
 
 
 def global_avg_pool(x):
@@ -393,7 +393,7 @@ def global_avg_pool(x):
     n = x.data[0].size
     def backward(g):
         return (np.broadcast_to(g / n, x.data.shape),)
-    return _make(_global_avg_pool(x.data), [x], backward, global_avg_pool, _global_avg_pool)
+    return _make(_global_avg_pool(x.data), [x], backward, _global_avg_pool)
 
 
 def slice_channels(x, start, stop):
@@ -409,8 +409,8 @@ def slice_channels(x, start, stop):
         gx[start:stop] = g
         return (gx,)
 
-    return _make(_slice_channels(x.data, start, stop), [x], backward, slice_channels,
-                 _slice_channels, start, stop)
+    return _make(_slice_channels(x.data, start, stop), [x], backward, _slice_channels,
+                 start, stop)
 
 
 def concat_channels(inputs):
@@ -426,8 +426,8 @@ def concat_channels(inputs):
     splits = np.cumsum([t.data.shape[0] for t in inputs])[:-1]
     def backward(g):
         return tuple(np.split(g, splits, axis=0))
-    return _make(_concat_channels(*(t.data for t in inputs)), list(inputs), backward,
-                 concat_channels, _concat_channels)
+    parts = [t.data for t in inputs]
+    return _make(_concat_channels(*parts), list(inputs), backward, _concat_channels)
 
 
 # `_correlate` (the forward pass and the input gradient) with at most _TILE_CHANNELS
@@ -610,7 +610,7 @@ def conv3d(x, kernel, bias):
             gx = _grid(_correlate(flipped, g_taps), extents, plane, row)
         return (gx, gk, gb)
 
-    return _make(out, [x, kernel, bias], backward, conv3d, _conv3d)
+    return _make(out, [x, kernel, bias], backward, _conv3d)
 
 
 def _max_pool3d(x):
@@ -652,7 +652,7 @@ def max_pool3d(x):
             g = ga
         return (g.transpose(3, 4, 2, 5, 1, 6, 0).reshape(c, d, h, w),)
 
-    return _make(out, [x], backward, max_pool3d, _max_pool3d)
+    return _make(out, [x], backward, _max_pool3d)
 
 
 def nearest_upsample(x):
@@ -670,42 +670,37 @@ def nearest_upsample(x):
             gx = copies[:, 0] + copies[:, 1]
         return (gx.reshape(c, d, h, w),)
 
-    return _make(_nearest_upsample(x.data), [x], backward, nearest_upsample, _nearest_upsample)
+    return _make(_nearest_upsample(x.data), [x], backward, _nearest_upsample)
 
 
 def replayer(root, leaf):
-    """`value(lanes=None)`: `root` recomputed from the current data of `leaf`,
-    or from B stacked values of it.
+    """`value(lanes)`: the B×`root.shape` values of `root` recomputed from a
+    B×`leaf.shape` array of B values of `leaf`.
 
-    `root` must have been made with the graph recorded. `value()` re-runs,
-    in forward order, the recorded ops that `leaf` reaches, each on the
-    replayed values of its reached parents and the recorded values of the
-    rest, and returns the replayed root (the recorded one if `leaf` does not
-    reach it). Under `no_grad` it runs only the ops' array kernels and returns
-    a tensor outside any graph. Otherwise it calls the ops, on graph-free
-    copies of the recorded values that keep their `requires_grad`: every
-    op's backward is as recorded, and a backward pass walks only the replay.
-    Ops depend only on their operands, so after an in-place change to
-    `leaf.data` the value is bitwise that of a full forward pass.
+    `root` must have been made with the graph recorded. `value` runs, in
+    forward order, the array kernels of the recorded ops that `leaf`
+    reaches, each once for all lanes: every replayed value has the lanes as
+    its leading axis (see `_conv3d`), and the recorded values of the rest
+    are shared among them. It makes no tensor and records no graph, and it
+    frees each replayed value after its last consumer. Ops depend only on
+    their operands, so each lane, a single one too, is bitwise the root of a
+    full forward pass with `leaf.data` set to it, as long as the recording
+    stands for that pass.
 
-    `value(lanes)` takes a B×`leaf.shape` array and returns the B×`root.shape`
-    array of root values, lane n bitwise that of `value()` with `leaf.data`
-    set to `lanes[n]`. It runs each reached kernel once, with the lanes as
-    the leading axis of every replayed value (see `_conv3d`), and shares the
-    recorded values among the lanes. Either way a replayed value is freed
-    after its last consumer.
-
-    Replay freezes Python control flow at the recorded pass: a branch taken
-    on a value, such as the zero-mass branch of
-    `losses.spatial_constraint_loss`, stays as it was recorded, and tensors
-    made outside the ops stay constants.
+    It does not when the pass reads `leaf` outside the ops, when an op left a
+    parent edge out, or when the pass ran under `no_grad`: then `leaf`
+    reaches less of the recording than of the pass, and an unreached root
+    repeats its recorded value in every lane. Replay also freezes Python
+    control flow at the recorded pass: a branch taken on a value, such as the
+    zero-mass branch of `losses.spatial_constraint_loss`, stays as it was
+    recorded. `grad_check` tests its recording with one lane more.
     """
     if not hasattr(root, "_ancestors"):  # one graph walk per recording, not per leaf
         root._ancestors = _topo_order(root)[:0:-1]  # forward order; no cycle through root
     # the reached nodes, each with its parents (positions in the replay or recorded
     # arrays) and the positions it is the last consumer of, which it frees
     plan = []
-    at = {id(leaf): 0}  # position 0 holds the leaf's value
+    at = {id(leaf): 0}  # position 0 holds the leaf's lanes
     for node in (*root._ancestors, root):
         if any(id(p) in at for p in node._parents):
             at[id(node)] = len(plan) + 1
@@ -714,33 +709,27 @@ def replayer(root, leaf):
     for p, step in last.items():
         plan[step][2].append(p)
 
-    def value(lanes=None):
+    def value(lanes):
         global _lanes
-        graph = _grad_enabled and lanes is None
-        now = [leaf if graph else leaf.data if lanes is None else lanes]
-        _lanes = 0 if lanes is None else len(lanes)
+        now = [lanes]
+        _lanes = len(lanes)
         try:
             for node, parents, free in plan:
-                op, kernel, extra = node._call
-                if graph:  # recorded parents enter as graph-free copies
-                    args = [now[p] if type(p) is int else Tensor(p, t.requires_grad)
-                            for p, t in zip(parents, node._parents)]
-                    out = op(args) if op is concat_channels else op(*args, *extra)
-                else:
-                    out = kernel(*[now[p] if type(p) is int else p for p in parents], *extra)
-                    if type(out) is tuple:  # the output and what the op's backward keeps
-                        out = out[0]
-                    if _lanes and out.shape != (_lanes, *node.data.shape):
-                        raise ShapeError(f"{op.__name__} cannot replay lanes of these operands")
-                    _check_finite(out, "op output")
+                kernel, extra = node._call
+                out = kernel(*[now[p] if type(p) is int else p for p in parents], *extra)
+                if type(out) is tuple:  # the output and what the op's backward keeps
+                    out = out[0]
+                if out.shape != (_lanes, *node.data.shape):
+                    raise ShapeError(f"{kernel.__name__} cannot replay lanes of these operands")
+                _check_finite(out, "op output")
                 for p in free:
                     now[p] = None
                 now.append(out)
         finally:
             _lanes = 0
         if len(now) == 1:  # `leaf` does not reach `root`
-            return root if lanes is None else np.repeat(root.data[np.newaxis], len(lanes), 0)
-        return now[-1] if graph or lanes is not None else Tensor(now[-1])
+            return np.repeat(root.data[np.newaxis], len(lanes), 0)
+        return now[-1]
 
     return value
 
@@ -748,45 +737,65 @@ def replayer(root, leaf):
 def grad_check(f, x, step=1e-3):
     """Max relative error between analytic and central-difference gradients.
 
-    `f` must map `x` to a scalar Tensor. Every coordinate of `x` is probed,
-    so keep inputs small. The error is relative for gradient entries above 1
-    in magnitude and absolute below, which keeps float32 forward rounding
-    from swamping near-zero entries.
+    `f` must map `x` to a scalar Tensor. It is called twice. The first call
+    records `root = f(x)`; one backward pass over it gives the analytic
+    gradient, and one replay of it (`replayer`) the central difference at
+    every coordinate of `x`, each perturbation a lane, so keep inputs small.
+    The second call evaluates `f` under `no_grad` with every entry of `x`
+    moved up by `step`, and one more lane of the replay must give that value
+    bitwise. If it does not, the recording does not stand for `f` (see
+    `replayer`), and the result is `inf`. `x.data` and `x.requires_grad` are
+    restored afterwards, also when `f` raises.
+
+    The error is relative for gradient entries above 1 in magnitude and
+    absolute below, which keeps float32 forward rounding from swamping
+    near-zero entries.
     """
     x.zero_grad()
     needed_grad = x.requires_grad
     x.requires_grad = True
     try:
-        f(x).backward()
+        root = f(x)
+        root.backward()
         grad = np.zeros_like(x.data) if x.grad is None else x.grad  # f may not reach x
         analytic = grad.astype(np.float64).reshape(-1)
     finally:
         x.requires_grad = needed_grad
     x.zero_grad()
 
-    flat = x.data.reshape(-1)
-    numeric = _central_differences(lambda: f(x).item(), flat, range(flat.size), step)
+    kept = x.data.copy()
+    shifted = kept + step
+    numeric, (replayed,) = _central_differences(replayer(root, x), kept, range(kept.size), step,
+                                                shifted)
+    try:
+        x.data[...] = shifted
+        with no_grad():
+            guard = f(x).data
+    finally:
+        x.data[...] = kept
+    if replayed.tobytes() != guard.tobytes():
+        return math.inf
     return max_rel_err(analytic, numeric)
 
 
-def _central_differences(value, flat, coords, step):
-    """(value() at +step − value() at −step) / (2·step) for each coordinate of
-    `flat`, a view that `value` reads; every entry is restored afterwards, also
-    when `value` raises. `value` runs under `no_grad`: its forward values are
-    the same, and it records no graph that nothing would walk."""
-    numeric = np.zeros(len(coords))
-    with no_grad():
-        for n, i in enumerate(coords):
-            orig = flat[i]
-            try:
-                flat[i] = orig + step
-                up = value()
-                flat[i] = orig - step
-                down = value()
-            finally:
-                flat[i] = orig
-            numeric[n] = (up - down) / (2.0 * step)
-    return numeric
+def _central_differences(value, data, coords, step, *extra):
+    """(value at +step − value at −step) / (2·step) at each of `coords` of
+    the flattened `data`, and the values at each array of `extra`, all from
+    one call `value(lanes)` (see `replayer`): lane n moves coordinate n up by
+    `step`, lane k + n moves it down, and the arrays of `extra` follow.
+    `data` itself is left as it is."""
+    k = len(coords)
+    lanes = np.repeat(data[np.newaxis], 2 * k + len(extra), 0)
+    flat = lanes[:2 * k].reshape(2, k, -1)
+    for n, i in enumerate(coords):
+        orig = data.flat[i]
+        flat[0, n, i] = orig + step
+        flat[1, n, i] = orig - step
+    for n, more in enumerate(extra):
+        lanes[2 * k + n] = more
+    out = value(lanes)
+    up, down = out[:2 * k].astype(np.float64).reshape(2, k)
+    return (up - down) / (2.0 * step), out[2 * k:]
 
 
 def max_rel_err(a, b):

@@ -1,10 +1,14 @@
 """Independent brute-force oracles used to pin expected test values.
 
 Everything here is written with plain Python loops and its own formulas,
-deliberately sharing no code with the package implementation.
+deliberately sharing no code with the package implementation. The
+gradient-check oracle runs the engine only to evaluate the objective it is
+given and that objective's backward pass.
 """
 
 import math
+
+from mmtseg.tensor import no_grad
 
 
 def oracle_dice(a, b):
@@ -177,3 +181,38 @@ def oracle_max_pool3d(x, g, factor):
             out[ch][z][y][x0] = vol[best[0]][best[1]][best[2]]
             gx[ch][best[0]][best[1]][best[2]] = gs[ch][z][y][x0]
     return out, gx
+
+
+def oracle_grad_check(f, x, step):
+    """The max relative error of a gradient check by full evaluation: `f(x)`
+    recorded and differentiated once, then evaluated again under `no_grad`
+    for each entry of `x` moved up, then down, by `step` in place.
+
+    The error of an entry is |a − n| / max(|a|, |n|, 1) for analytic `a` and
+    central difference `n`. Entries are restored, also when `f` raises.
+    """
+    x.zero_grad()
+    needed_grad = x.requires_grad
+    x.requires_grad = True
+    try:
+        f(x).backward()
+    finally:
+        x.requires_grad = needed_grad
+    grad = x.grad
+    x.zero_grad()
+    flat = x.data.reshape(-1)
+    worst = 0.0
+    with no_grad():
+        for i in range(flat.size):
+            orig = flat[i]
+            try:
+                flat[i] = orig + step
+                up = f(x).item()
+                flat[i] = orig - step
+                down = f(x).item()
+            finally:
+                flat[i] = orig
+            a = 0.0 if grad is None else float(grad.flat[i])
+            n = (up - down) / (2.0 * step)
+            worst = max(worst, abs(a - n) / max(abs(a), abs(n), 1.0))
+    return worst

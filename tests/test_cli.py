@@ -250,8 +250,8 @@ class TestInferenceGraph:
         recorded = []
         make = mmtseg.tensor._make
 
-        def spy(data, parents, backward, op, kernel, *extra):
-            out = make(data, parents, backward, op, kernel, *extra)
+        def spy(data, parents, backward, kernel, *extra):
+            out = make(data, parents, backward, kernel, *extra)
             recorded.append((out._backward is not None, out._parents != (),
                              out._call is not None))
             return out

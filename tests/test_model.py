@@ -27,6 +27,8 @@ from mmtseg.pipeline import normalize
 from mmtseg.tensor import ShapeError, Tensor, no_grad, replayer
 from mmtseg.trainer import AdamState, TrainConfig, load_checkpoint, save_checkpoint
 
+from oracles import oracle_grad_check
+
 
 def phantom_patch(seed=0, extent=16):
     vol, labels = generate_phantom(seed, (extent, extent, extent))
@@ -98,7 +100,7 @@ class TestSCFB:
                         calls.clear()
                         with monkeypatch.context() as m:
                             m.setattr(mmtseg.tensor, "_correlate", spy)
-                            replayed = value().data
+                            replayed = value(param.data[np.newaxis])[0]
                 finally:
                     flat[0] = orig
                 assert np.array_equal(replayed, full), name
@@ -369,7 +371,7 @@ class TestFullModelGradient:
                 try:
                     with no_grad():
                         full = objective(graph.forward(patch)).item()
-                        replayed = value().item()
+                        replayed = float(value(param.data[np.newaxis])[0])
                 finally:
                     flat[0] = orig
                 assert replayed == full, name
@@ -397,14 +399,41 @@ class TestFullModelGradient:
 
         calls = []
 
-        def one_at_a_time(value, data, coords, step):
+        def one_lane_each(value, data, coords, step):
             calls.append(None)
-            return mmtseg.tensor._central_differences(lambda: value().item(), data.reshape(-1),
-                                                      coords, step)
+            numeric = []
+            for i in coords:
+                ends = []
+                for entry in (data.flat[i] + step, data.flat[i] - step):
+                    lane = data.copy()
+                    lane.flat[i] = entry
+                    ends.append(value(lane[np.newaxis]).item())
+                numeric.append((ends[0] - ends[1]) / (2.0 * step))
+            return np.array(numeric), None
 
-        monkeypatch.setattr(mmtseg.gradcheck, "_lane_differences", one_at_a_time)
+        monkeypatch.setattr(mmtseg.tensor, "_central_differences", one_lane_each)
         assert [model_check(seed).max_err for seed in range(4)] == laned
         assert len(calls) == 4 * 48  # one per parameter tensor
+
+
+class TestGradCheckOracle:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_suite_units_give_the_full_evaluation_errors(self, seed, monkeypatch):
+        # `grad_check` reads every difference from one replay of one recording;
+        # the oracle evaluates the objective in full for every perturbed entry
+        got, want = [], []
+        grad_check = mmtseg.tensor.grad_check
+
+        def both(f, x, step):
+            got.append(grad_check(f, x, step))
+            want.append(oracle_grad_check(f, x, step))
+            return got[-1]
+
+        monkeypatch.setattr(mmtseg.tensor, "grad_check", both)
+        op_checks(seed)
+        scfb_checks(seed)
+        assert len(got) == 25
+        assert got == want
 
 
 class TestOpCoverage:

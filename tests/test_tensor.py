@@ -1,4 +1,4 @@
-import contextlib
+import math
 
 import numpy as np
 import pytest
@@ -519,10 +519,14 @@ class TestReplayer:
         return calls
 
     @staticmethod
-    def assert_replays_forward(f, x, root, value):
+    def one_lane(value, leaf):
+        """The replayed root for the current data of `leaf`, as one lane."""
+        return value(leaf.data[np.newaxis])[0]
+
+    def assert_replays_forward(self, f, x, root, value):
         """The replayed root equals `f()` bitwise, with `x` as recorded and
         with its last entry moved up and down."""
-        assert np.array_equal(value().data, root.data)
+        assert np.array_equal(self.one_lane(value, x), root.data)
         flat = x.data.reshape(-1)
         orig = flat[-1]
         for entry in (orig + 0.25, orig - 0.25):
@@ -530,7 +534,7 @@ class TestReplayer:
             try:
                 with no_grad():
                     full = f().data
-                    replayed = value().data
+                replayed = self.one_lane(value, x)
             finally:
                 flat[-1] = orig
             assert np.array_equal(replayed, full)
@@ -546,11 +550,9 @@ class TestReplayer:
 
         root = f()
         value = replayer(root, x)
-        for record in (no_grad, contextlib.nullcontext):
-            calls.clear()
-            with record():
-                value()
-            assert sorted(calls) == ["add", "mul_broadcast", "relu", "tensor_sum"]
+        calls.clear()
+        self.one_lane(value, x)
+        assert sorted(calls) == ["add", "mul_broadcast", "relu", "tensor_sum"]
         self.assert_replays_forward(f, x, root, value)
 
     def test_concat_replays_with_its_list_of_parts(self, rng):
@@ -580,24 +582,9 @@ class TestReplayer:
         value = replayer(root, unused)
         calls.clear()
         unused.data += 1.0
-        assert value() is root
-        with no_grad():
-            assert value() is root
         lanes = np.repeat(unused.data[np.newaxis], 3, 0)
         assert np.array_equal(value(lanes), np.repeat(root.data, 3))
         assert calls == []
-
-    def test_recorded_replay_backward_walks_only_the_replay(self, rng):
-        x = rand_tensor(rng, (2, 2, 2, 2))
-        y = rand_tensor(rng, (2, 2, 2, 2))
-        root = tensor_sum(mul_broadcast(relu(x), sigmoid(y)))
-        root.backward()
-        expected = x.grad.copy()
-        x.zero_grad()
-        y.zero_grad()
-        replayer(root, x)().backward()
-        assert np.array_equal(bits(x.grad), bits(expected))
-        assert y.grad is None  # sigmoid(y) entered the replay as a graph-free copy
 
     # every op in `__all__` but these, plus `div`, which `Tensor.__truediv__` calls
     NOT_OPS = {"Tensor", "ShapeError", "set_debug_checks", "no_grad", "replayer", "grad_check",
@@ -642,9 +629,10 @@ class TestReplayer:
     def test_every_op_kind_replays_bitwise_without_making_tensors(self, rng, monkeypatch):
         (x, k, b, w), f = self.every_op_kind(rng)
         root = f()
+        ops = set(mmtseg.tensor.__all__) - self.NOT_OPS | {"div"}
+        kernels = {getattr(mmtseg.tensor, "_" + name): name for name in ops}
         graph = mmtseg.tensor._topo_order(root)
-        recorded = {node._call[0].__name__ for node in graph if node._call is not None}
-        assert recorded == set(mmtseg.tensor.__all__) - self.NOT_OPS | {"div"}
+        assert {kernels[node._call[0]] for node in graph if node._call is not None} == ops
 
         made = []
         make = mmtseg.tensor._make
@@ -663,8 +651,8 @@ class TestReplayer:
                 try:
                     with no_grad():
                         full = f().data
-                        made.clear()
-                        replayed = value().data
+                    made.clear()
+                    replayed = self.one_lane(value, leaf)
                 finally:
                     flat[0] = orig
                 assert made == []
@@ -701,8 +689,8 @@ class TestReplayer:
         value = replayer(root, x)
         x.data[0, 0, 0, 0] = 3e38  # ×4 overflows float32
         mmtseg.tensor.set_debug_checks(True)
-        with no_grad(), np.errstate(over="ignore"), pytest.raises(FloatingPointError):
-            value()
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
+            self.one_lane(value, x)
 
 
 class TestDeterminismAndChecks:
@@ -742,27 +730,51 @@ class TestDeterminismAndChecks:
         err = grad_check(lambda t: tensor_sum(sigmoid(t)), x)
         assert err < 1e-2
 
-    def test_central_differences_restore_entry_when_value_raises(self):
-        flat = np.array([0.1, -0.7], dtype=np.float32)
-        kept = flat.tobytes()
-        for fail_at in (1, 2):  # while probing +step, then −step
-            calls = []
+    def test_grad_check_restores_input_when_the_guard_evaluation_raises(self, rng):
+        # the replay never writes into x; the second call of f, which sees every
+        # entry of x moved up by the step, does
+        x = rand_tensor(rng, (2, 2, 2, 2), requires_grad=False)
+        kept = x.data.tobytes()
+        calls = []
 
-            def value():
-                calls.append(None)
-                if len(calls) == fail_at:
-                    raise RuntimeError("probe failed")
-                return float(flat.sum())
+        def f(t):
+            calls.append(t.data.tobytes())
+            if len(calls) == 2:
+                raise RuntimeError("objective failed")
+            return weighted_sum(relu(t), np.random.default_rng(19))
 
-            with pytest.raises(RuntimeError):
-                mmtseg.tensor._central_differences(value, flat, [1], 1e-3)
-            assert flat.tobytes() == kept
+        with pytest.raises(RuntimeError):
+            grad_check(f, x)
+        assert calls[0] == kept and calls[1] != kept
+        assert x.data.tobytes() == kept
+        assert x.requires_grad is False
 
     def test_grad_check_objective_off_the_graph_fails(self, rng):
-        # the objective reads x's values outside the ops, so x gets no gradient:
-        # analytic 0 against numeric 2 is a failed check, not a crash
+        # the objective reads x's values outside the ops, so x gets no gradient
+        # and the replay does not reach it; the guard evaluation sees x moved
         x = rand_tensor(rng, (2, 2, 2, 2))
-        assert grad_check(lambda t: tensor_sum(Tensor(t.data * 2)), x) == 1.0
+        assert grad_check(lambda t: tensor_sum(Tensor(t.data * 2)), x) == math.inf
+
+    def test_grad_check_fails_objectives_whose_recording_drops_an_edge(self, rng, monkeypatch):
+        # each recording leaves out a path from the checked tensor to the objective
+        # that the objective's value does take, so the recorded graph alone gives
+        # a zero gradient and zero differences along it
+        x = rand_tensor(rng, (1, 3, 3, 3))
+        k = rand_tensor(rng, (2, 1, 3, 3, 3))
+        b = rand_tensor(rng, (2,))
+        # an operand made outside the ops from the checked tensor's array
+        assert not grad_check(lambda t: tensor_sum(add(t, Tensor(t.data))), x) < FD_TOL
+        # the objective evaluated with no graph recorded
+        with no_grad():
+            assert not grad_check(lambda t: tensor_sum(relu(t)), x) < FD_TOL
+        # conv3d recorded without its bias parent
+        make = mmtseg.tensor._make
+
+        def spy(data, parents, *call):
+            return make(data, [p for p in parents if p is not b], *call)
+
+        monkeypatch.setattr(mmtseg.tensor, "_make", spy)
+        assert not grad_check(lambda t: tensor_sum(conv3d(x, k, t)), b) < FD_TOL
 
     def test_grad_check_objective_ignoring_input_passes(self, rng):
         x = rand_tensor(rng, (2, 2, 2, 2))
