@@ -14,8 +14,9 @@ runs once for all of them. A lane's perturbed entry is the float32 value a
 one-at-a-time check would write, and each lane is bitwise its own forward
 pass, so every difference is the one a full forward pass per perturbation
 gives. The per-op and fusion-block checks go through `T.grad_check`, whose
-extra guard lane must match the objective evaluated again; the whole-model
-check records one objective for all its parameter tensors.
+extra guard lane must match the objective evaluated again; in a fusion-block
+check only the checked tensor requires grad. The whole-model check records
+one objective for all its parameter tensors.
 """
 
 from __future__ import annotations
@@ -137,12 +138,21 @@ def scfb_checks(seed=0):
     parts = [_rand(rng, (1, 3, 3, 3)) for _ in range(4)]
 
     # grad_check moves the tensor it is handed in place, and the block reads
-    # the live tensors, so the objective ignores its argument
+    # the live tensors, so the objective ignores its argument. Only that tensor
+    # requires grad during its check, so the recording, the backward pass and
+    # the replay cover just what it reaches.
+    leaves = [*store.params.values(), *parts]
     results = []
     checks = [(f"scfb/{name}", param, 30) for name, param in store.params.items()]
     for name, x, probe_seed in [*checks, ("scfb/input", parts[0], 31)]:
         probe = _probe(probe_seed)
-        err = T.grad_check(lambda _: probe(block(parts)), x, step=STEP)
+        for t in leaves:
+            t.requires_grad = t is x
+        try:
+            err = T.grad_check(lambda _: probe(block(parts)), x, step=STEP)
+        finally:
+            for t in leaves:
+                t.requires_grad = True
         results.append(CheckResult(name, err, OP_TOL))
     return results
 

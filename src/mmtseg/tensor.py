@@ -14,9 +14,10 @@ kind the network runs. The input and the output gradient share one flat
 layout with a zero gutter of the kernel's half-width after every row and
 plane, in which each kernel tap is a fixed column shift, so the forward pass
 and both gradients are sums of GEMMs on contiguous column slices. The kernel
-gradient is one GEMM per tap; the channels per tap alone pick whether the
-forward pass and the input gradient copy their taps into fixed-size im2col
-tiles or loop over them (see `conv3d`). Every tile is copied into one shared
+gradient is one GEMM per tap. The forward pass and the input gradient copy
+their taps into fixed-size im2col tiles when there are few channels per tap
+and no more than twice as many as output rows; otherwise they loop over the
+taps (see `conv3d`). Every tile is copied into one shared
 workspace, allocated on first use and never shrunk, so a small convolution
 does not map and fault in fresh memory on every call.
 
@@ -106,7 +107,8 @@ class Tensor:
     Tensors produced by ops are treated as immutable. `grad` accumulates
     across `backward` calls until explicitly cleared. A graph node also
     keeps the call that made it: `_call` is (array kernel, non-tensor
-    arguments). A root that `replayer` has walked keeps its `_ancestors`.
+    arguments). A root that `replayer` has walked keeps its `_ancestors` and
+    their consumer index.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_call", "_ancestors")
@@ -272,9 +274,9 @@ def _tensor_sum(x):
     return np.float32(x.sum(dtype=np.float64))
 
 
-def _div(a, b):
-    if _lanes and b.size == _lanes:  # one divisor per lane; the dividend has lanes or is 0-d
-        return a / b.reshape(-1, *(1,) * (a.ndim - 1))
+def _div(a, b, ndim):
+    if _lanes and b.size == _lanes:  # one divisor per lane; the `ndim`-d dividend may have lanes
+        return a / b.reshape(-1, *(1,) * ndim)
     return a / b.flat[0]
 
 
@@ -321,7 +323,7 @@ def div(a, b):
             -np.sum(g.astype(np.float64) * a.data) / (bv * bv), dtype=np.float32
         ).reshape(b.data.shape)
         return (ga, gb)
-    return _make(_div(a.data, b.data), [a, b], backward, _div)
+    return _make(_div(a.data, b.data, a.data.ndim), [a, b], backward, _div, a.data.ndim)
 
 
 def _relu(x):
@@ -430,10 +432,11 @@ def concat_channels(inputs):
     return _make(_concat_channels(*parts), list(inputs), backward, _concat_channels)
 
 
-# `_correlate` (the forward pass and the input gradient) with at most _TILE_CHANNELS
-# channels per tap copies its taps into im2col tiles of at most _TILE_BYTES, sized
-# to stay in L2; wider ones loop over taps. Constants, not options: the summation
-# order depends on shapes alone.
+# `_correlate` (the forward pass and the input gradient) with C channels per tap and
+# O output rows copies its taps into im2col tiles of at most _TILE_BYTES, sized to
+# stay in L2, when C <= _TILE_CHANNELS and C <= 2·O; otherwise it loops over taps,
+# since a copied row that feeds few outputs costs more than it saves. O is the rows
+# of one lane. Constants, not options: the summation order depends on shapes alone.
 _TILE_CHANNELS = 16
 _TILE_BYTES = 512 << 10
 
@@ -468,13 +471,17 @@ def _taps(src, span, kshape, plane, row):
 
 
 def _correlate(k, taps):
-    """Sum over taps t of `k[:, :, t] @ taps[t]`: an O × span float64 array.
+    """Sum over taps t of `k[..., t] @ taps[t]` for an O×C×kd×kh×kw kernel, or
+    a B×O×C×kd×kh×kw one whose lanes are the B·O rows of one contraction: a
+    [B·]O × span float64 array.
 
     Not reentrant: the im2col tiles live in the shared `_workspace`."""
-    o, span = k.shape[0], taps.shape[-1]
-    if taps.shape[3] <= _TILE_CHANNELS:
-        out = np.empty((o, span))  # every column is written by one matmul below
-        kmat = k.transpose(0, 2, 3, 4, 1).reshape(o, -1)
+    c, span = taps.shape[3], taps.shape[-1]
+    tiled = c <= _TILE_CHANNELS and c <= 2 * k.shape[-5]  # O of one lane: lanes never choose
+    k = k.reshape(-1, *k.shape[-4:])
+    if tiled:
+        out = np.empty((len(k), span))  # every column is written by one matmul below
+        kmat = k.transpose(0, 2, 3, 4, 1).reshape(len(k), -1)
         cols = max(1, _TILE_BYTES // kmat[0].nbytes)
         for a in range(0, span, cols):
             window = taps[..., a : a + cols]
@@ -482,9 +489,13 @@ def _correlate(k, taps):
             np.copyto(tile, window)
             np.matmul(kmat, tile.reshape(kmat.shape[1], -1), out=out[:, a : a + cols])
         return out
-    out = np.zeros((o, span))
     ktaps = np.ascontiguousarray(k.transpose(2, 3, 4, 0, 1))
-    for t in np.ndindex(*ktaps.shape[:3]):
+    # the first tap's product starts the sum, so a 1×1×1 kernel is one GEMM with no
+    # copy and no add; it goes into np.zeros, as a fresh product array read about
+    # 1.5 MiB more peak RSS in benchmarked `mmtseg eval` runs
+    first, *rest = np.ndindex(*ktaps.shape[:3])
+    out = np.matmul(ktaps[first], taps[first], out=np.zeros((len(k), span)))
+    for t in rest:
         out += ktaps[t] @ taps[t]
     return out
 
@@ -548,9 +559,7 @@ def _conv3d(x, kernel, bias):
     k64 = kernel.astype(np.float64)
     # backward remakes the im2col copy: holding it in the graph raises peak memory
     if kernel.ndim == 6:
-        b, o = kernel.shape[:2]
-        out = _correlate(k64.reshape(b * o, *kernel.shape[2:]), x_taps)
-        out = _grid(out, extents, plane, row).reshape(b, o, *extents)
+        out = _grid(_correlate(k64, x_taps), extents, plane, row).reshape(*kernel.shape[:2], *extents)
     else:
         out = _grid(_correlate(k64, x_taps), extents, plane, row, 0, lanes, length)
     out = out + bias.astype(np.float64)[..., np.newaxis, np.newaxis, np.newaxis]
@@ -574,9 +583,11 @@ def conv3d(x, kernel, bias):
     - input gradient: the forward contraction over gp, with the kernel
       flipped and transposed
 
-    In the forward pass and the input gradient, few channels per tap are
-    contracted as L2-sized im2col tiles, one GEMM per tile (Chellapilla et
-    al. 2006); many as a loop over uncopied slices. The kernel gradient
+    In the forward pass and the input gradient, C channels per tap into O
+    output rows are contracted as L2-sized im2col tiles, one GEMM per tile
+    (Chellapilla et al. 2006), when C is at most `_TILE_CHANNELS` and at most
+    2·O; otherwise as a loop over uncopied slices that starts from the first
+    tap's product, so a 1×1×1 kernel is one GEMM. The kernel gradient
     contracts over the long span, one GEMM per tap whatever the channel
     count. Contractions run in float64, cast back to float32.
     """
@@ -695,14 +706,33 @@ def replayer(root, leaf):
     zero-mass branch of `losses.spatial_constraint_loss`, stays as it was
     recorded. `grad_check` tests its recording with one lane more.
     """
-    if not hasattr(root, "_ancestors"):  # one graph walk per recording, not per leaf
-        root._ancestors = _topo_order(root)[:0:-1]  # forward order; no cycle through root
-    # the reached nodes, each with its parents (positions in the replay or recorded
-    # arrays) and the positions it is the last consumer of, which it frees
+    walked = hasattr(root, "_ancestors")
+    if not walked:  # one graph walk per recording, not per leaf
+        # forward order, and a consumer index filled for a second leaf; no cycle through root
+        root._ancestors = _topo_order(root)[:0:-1], {}
+    ancestors, consumers = root._ancestors
+    nodes = (*ancestors, root)
+    if walked:  # later leaves visit only the nodes they reach
+        if not consumers:
+            for step, node in enumerate(nodes):
+                consumers[id(node)] = []
+                for p in node._parents:
+                    consumers[id(p)].append(step)
+        reached = set()
+        stack = list(consumers.get(id(leaf), ()))
+        while stack:
+            step = stack.pop()
+            if step not in reached:
+                reached.add(step)
+                stack.extend(consumers[id(nodes[step])])
+        nodes = [nodes[step] for step in sorted(reached)]
+    # the reached nodes in forward order, each with its parents (positions in the replay
+    # or recorded arrays) and the positions it is the last consumer of, which it frees; a
+    # recording replayed from one leaf finds them in one scan and pays for no index
     plan = []
     at = {id(leaf): 0}  # position 0 holds the leaf's lanes
-    for node in (*root._ancestors, root):
-        if any(id(p) in at for p in node._parents):
+    for node in nodes:
+        if walked or any(id(p) in at for p in node._parents):
             at[id(node)] = len(plan) + 1
             plan.append((node, [at.get(id(p), p.data) for p in node._parents], []))
     last = {p: step for step, (_, parents, _) in enumerate(plan) for p in parents if type(p) is int}

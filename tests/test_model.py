@@ -394,6 +394,22 @@ class TestFullModelGradient:
         model_check(0)
         assert len(calls) <= 360
 
+    def test_model_check_copies_few_im2col_tiles(self, monkeypatch):
+        # A copied tap row pays off only when it feeds enough output rows. Tiling
+        # by channels per tap alone copied 880 MB of float64 here, mostly for the
+        # 2-row `dec0` and `fuse` convs with 16 kernel lanes; tiling only while
+        # the channels are at most twice the output rows copies 24 MB.
+        copied = []
+        tile = mmtseg.tensor._tile
+
+        def spy(shape):
+            copied.append(8 * np.prod(shape))
+            return tile(shape)
+
+        monkeypatch.setattr(mmtseg.tensor, "_tile", spy)
+        model_check(0)
+        assert sum(copied) <= 32e6
+
     def test_lanes_give_the_errors_of_one_perturbation_at_a_time(self, monkeypatch):
         laned = [model_check(seed).max_err for seed in range(4)]
 

@@ -131,15 +131,17 @@ class TestConv3d:
         "xshape12-kshape12-1-padding12": ((2, 5, 4, 6), (2, 2, 5, 3, 1)),
     }
 
-    # (channels per tap, tile bytes) for the forward pass and the input
-    # gradient: the defaults, every contraction a tap loop, every one tiled in
-    # several tiles, every one a single tile. The kernel gradient is one GEMM
-    # per tap under all four.
+    # (channels per tap, tile bytes, whether the forward pass and the input
+    # gradient copy tiles): the defaults, every contraction a tap loop, every
+    # one tiled in several tiles, every one a single tile. Tiles also need the
+    # channels per tap to be at most twice the output rows, which holds for
+    # every case in both contractions. The kernel gradient is one GEMM per tap
+    # under all four.
     CONTRACTIONS = [
-        (mmtseg.tensor._TILE_CHANNELS, mmtseg.tensor._TILE_BYTES),
-        (0, mmtseg.tensor._TILE_BYTES),
-        (1 << 30, 4096),
-        (1 << 30, 1 << 62),
+        (mmtseg.tensor._TILE_CHANNELS, mmtseg.tensor._TILE_BYTES, None),
+        (0, mmtseg.tensor._TILE_BYTES, False),
+        (1 << 30, 4096, True),
+        (1 << 30, 1 << 62, True),
     ]
 
     @pytest.mark.parametrize("xshape,kshape", ORACLE_CASES.values(), ids=ORACLE_CASES.keys())
@@ -147,19 +149,55 @@ class TestConv3d:
         x = rng.uniform(-1, 1, xshape).astype(np.float32)
         k = rng.uniform(-1, 1, kshape).astype(np.float32)
         b = rng.uniform(-1, 1, kshape[0]).astype(np.float32)
+        tiles, copied = [], []
+        tile, correlate = mmtseg.tensor._tile, mmtseg.tensor._correlate
+
+        def tile_spy(shape):
+            tiles.append(shape)
+            return tile(shape)
+
+        def correlate_spy(*args):
+            before = len(tiles)
+            out = correlate(*args)
+            copied.append(len(tiles) > before)
+            return out
+
+        monkeypatch.setattr(mmtseg.tensor, "_tile", tile_spy)
+        monkeypatch.setattr(mmtseg.tensor, "_correlate", correlate_spy)
         g = ref = None
-        for channels, tile_bytes in self.CONTRACTIONS:
+        for channels, tile_bytes, tiled in self.CONTRACTIONS:
             monkeypatch.setattr(mmtseg.tensor, "_TILE_CHANNELS", channels)
             monkeypatch.setattr(mmtseg.tensor, "_TILE_BYTES", tile_bytes)
             xt, kt, bt = (Tensor(a, requires_grad=True) for a in (x, k, b))
+            copied.clear()
             out = conv3d(xt, kt, bt)
             if ref is None:
                 g = rng.uniform(-1, 1, out.data.shape).astype(np.float32)
                 ref = oracle_conv3d(x, k, b, g, (1, 1, 1), tuple(n // 2 for n in kshape[2:]))
             tensor_sum(mul_broadcast(out, Tensor(g))).backward()
+            if tiled is not None:  # the forward pass, then the input gradient
+                assert copied == [tiled, tiled]
             # float64 sums cast once to float32: within one float32 ulp
             for got, want in zip((out.data, xt.grad, kt.grad, bt.grad), ref):
                 np.testing.assert_allclose(got, np.asarray(want), rtol=2.0**-23, atol=1e-12)
+
+    def test_kernel_lanes_do_not_choose_the_contraction(self, rng, monkeypatch):
+        # 6 channels per tap into 2 output rows is a tap loop; 16 kernel lanes
+        # are 32 rows of one contraction, which must loop all the same, so that
+        # each lane keeps the summation order of its own forward pass
+        tiles = []
+        tile = mmtseg.tensor._tile
+
+        def spy(shape):
+            tiles.append(shape)
+            return tile(shape)
+
+        monkeypatch.setattr(mmtseg.tensor, "_tile", spy)
+        x = rng.uniform(-1, 1, (6, 4, 4, 4)).astype(np.float32)
+        k = rng.uniform(-1, 1, (16, 2, 6, 3, 3, 3)).astype(np.float32)
+        b = rng.uniform(-1, 1, (2,)).astype(np.float32)
+        mmtseg.tensor._conv3d(x, k, b)
+        assert tiles == []
 
     def test_workspace_never_leaks_into_results(self, rng, monkeypatch):
         def run(xshape, kshape):
@@ -675,13 +713,14 @@ class TestReplayer:
 
         root = f()
         self.assert_lanes_replay_forward(f, x, replayer(root, x), [0, 5])
-        # a recorded dividend with lanes only in the divisor must be a scalar;
-        # a map fails whether or not its leading extent is the lane count
-        s = add(tensor_sum(relu(x)), 1.0)
-        for lane_count in (3, 2):
-            lanes = np.repeat(x.data[np.newaxis], lane_count, 0)
-            with pytest.raises(ValueError):
-                replayer(mul_broadcast(y, 1.0) / s, x)(lanes)
+
+        def g():  # a recorded map over a divisor with lanes
+            return mul_broadcast(y, 1.0) / add(tensor_sum(relu(x)), 1.0)
+
+        root = g()
+        # 4 lanes, then 2, the map's leading extent
+        for entries in ([0, 5], [3]):
+            self.assert_lanes_replay_forward(g, x, replayer(root, x), entries)
 
     def test_debug_checks_flag_a_replayed_overflow(self, rng):
         x = rand_tensor(rng, (2, 2, 2, 2))
@@ -722,6 +761,12 @@ class TestDeterminismAndChecks:
             return weighted_sum(h, np.random.default_rng(18))
 
         assert grad_check(composite, x) < FD_TOL
+
+    def test_grad_check_of_a_recorded_map_over_a_checked_divisor(self, rng):
+        x = rand_tensor(rng, (2, 2, 2, 2))
+        y = rand_tensor(rng, (2, 2, 2, 2))
+        err = grad_check(lambda t: tensor_sum(mul_broadcast(y, 1.0) / tensor_sum(t)), x)
+        assert err < FD_TOL
 
     def test_grad_check_sigmoid_extremes_loose(self):
         # saturated sigmoid has ~zero true gradient; FD noise dominates, so
