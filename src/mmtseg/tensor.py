@@ -107,8 +107,7 @@ class Tensor:
     Tensors produced by ops are treated as immutable. `grad` accumulates
     across `backward` calls until explicitly cleared. A graph node also
     keeps the call that made it: `_call` is (array kernel, non-tensor
-    arguments). A root that `replayer` has walked keeps its `_ancestors` and
-    their consumer index.
+    arguments). A root that `replayer` has walked keeps its `_ancestors`.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_call", "_ancestors")
@@ -490,11 +489,8 @@ def _correlate(k, taps):
             np.matmul(kmat, tile.reshape(kmat.shape[1], -1), out=out[:, a : a + cols])
         return out
     ktaps = np.ascontiguousarray(k.transpose(2, 3, 4, 0, 1))
-    # the first tap's product starts the sum, so a 1×1×1 kernel is one GEMM with no
-    # copy and no add; it goes into np.zeros, as a fresh product array read about
-    # 1.5 MiB more peak RSS in benchmarked `mmtseg eval` runs
     first, *rest = np.ndindex(*ktaps.shape[:3])
-    out = np.matmul(ktaps[first], taps[first], out=np.zeros((len(k), span)))
+    out = ktaps[first] @ taps[first]  # a 1×1×1 kernel is one GEMM, with no fill and no add
     for t in rest:
         out += ktaps[t] @ taps[t]
     return out
@@ -706,33 +702,14 @@ def replayer(root, leaf):
     zero-mass branch of `losses.spatial_constraint_loss`, stays as it was
     recorded. `grad_check` tests its recording with one lane more.
     """
-    walked = hasattr(root, "_ancestors")
-    if not walked:  # one graph walk per recording, not per leaf
-        # forward order, and a consumer index filled for a second leaf; no cycle through root
-        root._ancestors = _topo_order(root)[:0:-1], {}
-    ancestors, consumers = root._ancestors
-    nodes = (*ancestors, root)
-    if walked:  # later leaves visit only the nodes they reach
-        if not consumers:
-            for step, node in enumerate(nodes):
-                consumers[id(node)] = []
-                for p in node._parents:
-                    consumers[id(p)].append(step)
-        reached = set()
-        stack = list(consumers.get(id(leaf), ()))
-        while stack:
-            step = stack.pop()
-            if step not in reached:
-                reached.add(step)
-                stack.extend(consumers[id(nodes[step])])
-        nodes = [nodes[step] for step in sorted(reached)]
-    # the reached nodes in forward order, each with its parents (positions in the replay
-    # or recorded arrays) and the positions it is the last consumer of, which it frees; a
-    # recording replayed from one leaf finds them in one scan and pays for no index
+    if not hasattr(root, "_ancestors"):  # one graph walk per recording, not per leaf
+        root._ancestors = _topo_order(root)[:0:-1]  # forward order; no cycle through root
+    # the reached nodes, each with its parents (positions in the replay or recorded
+    # arrays) and the positions it is the last consumer of, which it frees
     plan = []
     at = {id(leaf): 0}  # position 0 holds the leaf's lanes
-    for node in nodes:
-        if walked or any(id(p) in at for p in node._parents):
+    for node in (*root._ancestors, root):
+        if any(id(p) in at for p in node._parents):
             at[id(node)] = len(plan) + 1
             plan.append((node, [at.get(id(p), p.data) for p in node._parents], []))
     last = {p: step for step, (_, parents, _) in enumerate(plan) for p in parents if type(p) is int}

@@ -722,6 +722,20 @@ class TestReplayer:
         for entries in ([0, 5], [3]):
             self.assert_lanes_replay_forward(g, x, replayer(root, x), entries)
 
+    def test_kernel_that_drops_the_lanes_fails_the_replay(self, rng, monkeypatch):
+        x = rand_tensor(rng, (2, 2, 2, 2))
+        r = relu(x)
+        root = tensor_sum(mul_broadcast(r, 2.0))
+        kernel, extra = r._call
+
+        def first_lane_only(a, *rest):
+            return kernel(a, *rest)[0]
+
+        monkeypatch.setattr(r, "_call", (first_lane_only, extra))
+        value = replayer(root, x)
+        with pytest.raises(ShapeError, match="first_lane_only cannot replay lanes"):
+            value(np.stack([x.data, x.data]))
+
     def test_debug_checks_flag_a_replayed_overflow(self, rng):
         x = rand_tensor(rng, (2, 2, 2, 2))
         root = tensor_sum(mul_broadcast(x, 4.0))
