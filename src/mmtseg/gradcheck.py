@@ -1,22 +1,18 @@
 """Finite-difference verification of every differentiable op, the fusion
 block, and a whole tiny model.
 
-Per-op and fusion-block checks probe every coordinate at step 1e-3 against
-a 1e-3 bound. The whole-model check samples 8 seeded coordinates from every
-parameter tensor and uses a looser 1e-2 bound to absorb composition depth.
-
 Every check records its objective, takes the analytic gradient from one
-backward pass over it, and takes its central differences from replays of
-that recording that run only the array kernels of the ops the checked
-tensor reaches (`T.replayer`); every other value comes from the recording.
-A replay stacks all ± perturbations of a tensor as lanes, and each kernel
-runs once for all of them. A lane's perturbed entry is the float32 value a
-one-at-a-time check would write, and each lane is bitwise its own forward
-pass, so every difference is the one a full forward pass per perturbation
-gives. The per-op and fusion-block checks go through `T.grad_check`, whose
-extra guard lane must match the objective evaluated again; in a fusion-block
-check only the checked tensor requires grad. The whole-model check records
-one objective for all its parameter tensors.
+backward pass over it, and takes its finite differences from one replay of
+that recording that runs only the array kernels of the ops the checked
+tensors reach (`T.replayer`), with every perturbation a lane; each lane is
+bitwise its own forward pass. One more lane must match the objective
+evaluated again under `no_grad`, or the check fails.
+
+Per-op and fusion-block checks (`T.grad_check`) difference every
+coordinate in float32 at step 1e-3 against a 1e-3 bound; in a fusion-block
+check only the checked tensor requires grad. The whole-model check
+differences along random directions over all parameters at once, in
+float64, against a 1e-4 bound.
 """
 
 from __future__ import annotations
@@ -37,9 +33,8 @@ from .phantom import derive_regions, generate_phantom
 from .pipeline import normalize
 
 OP_TOL = 1e-3
-MODEL_TOL = 1e-2
+MODEL_TOL = 1e-4
 STEP = 1e-3
-COORDS_PER_TENSOR = 8  # whole-model check: coordinates sampled per parameter tensor
 
 
 @dataclass
@@ -158,8 +153,9 @@ def scfb_checks(seed=0):
 
 
 def tiny_mmtsn(seed):
-    """The whole-model check's inputs: a depth-2, base-2 MMTSN, an 8³ patch
-    of a 16³ phantom, and its probe objective of `ForwardOutputs`.
+    """The whole-model check's inputs: a depth-2, base-2 MMTSN with biases
+    drawn from U(-0.1, 0.1), so no ReLU input sits exactly at its kink, an 8³
+    patch of a 16³ phantom, and its probe objective of `ForwardOutputs`.
 
     The objective composes every loss term with full two-sided gradients
     (the training objective detaches the containment outer side on purpose,
@@ -173,6 +169,10 @@ def tiny_mmtsn(seed):
     regions = derive_regions(type(labels)(lbl))
     w = LossWeights()
     graph = build_model("MMTSN", ModelConfig(depth=2, base_channels=2), seed=seed)
+    rng = np.random.default_rng(seed + 98)
+    for name, t in graph.params.items():
+        if name.endswith(".bias"):
+            t.data[...] = rng.uniform(-0.1, 0.1, t.data.shape)
 
     def objective(out):
         total = multiclass_dice_loss(out.main_probs, lbl)
@@ -188,31 +188,34 @@ def tiny_mmtsn(seed):
 
 
 def model_check(seed=0):
-    """Sampled finite-difference check of a whole tiny model's parameters.
+    """Directional finite-difference check of a whole tiny model's gradient.
 
-    The analytic gradients come from one backward pass over the recorded
-    objective of `graph.forward`. The central differences of a parameter
-    tensor replay only the kernels of the ops it reaches (`T.replayer`),
-    once, with its 2·k perturbations as lanes, and read the rest from that
-    recording, so every value is bitwise the one a full forward pass gives.
-    It evaluates the objective once, so unlike `T.grad_check` no lane of it
-    is tested against a second evaluation.
+    One backward pass over the recorded objective f gives its gradient g.
+    One float64 replay from every parameter p gives (f(p + εv) - f(p - εv))
+    / 2ε at ε = 1e-7 for 4 random normal tangents v, compared with v·g. A
+    float32 lane of it with p moved by `STEP`·v[0] must equal a `no_grad`
+    forward pass bitwise, or the error is `inf` (see `T.grad_check`).
     """
     graph, patch, objective = tiny_mmtsn(seed)
+    params = list(graph.params.values())
     graph.zero_grads()
     root = objective(graph.forward(patch))
     root.backward()
-    analytic = {name: t.grad.copy() for name, t in graph.params.items()}
+    grads = [np.zeros(t.data.shape) if t.grad is None else t.grad for t in params]  # f may not reach t
     graph.zero_grads()
 
     rng = np.random.default_rng(seed + 99)
-    worst = 0.0
-    for name, param in graph.params.items():
-        n = param.data.size
-        coords = rng.choice(n, size=min(COORDS_PER_TENSOR, n), replace=False)
-        numeric, _ = T._central_differences(T.replayer(root, param), param.data, coords, STEP)
-        worst = max(worst, T.max_rel_err(analytic[name].reshape(-1)[coords], numeric))
-    return CheckResult("full-model (tiny MMTSN)", worst, MODEL_TOL)
+    tangents = [rng.standard_normal((4, *t.data.shape)) for t in params]
+    slope = sum((v * g).reshape(4, -1).sum(1) for v, g in zip(tangents, grads))
+    value = T.replayer(root, *params)
+    moved = [(t.data + STEP * v[0]).astype(np.float32) for t, v in zip(params, tangents)]
+    guard = T._evaluate(lambda: objective(graph.forward(patch)), params, moved)
+    err = np.inf
+    if value(*[m[np.newaxis] for m in moved])[0].tobytes() == guard.tobytes():
+        ends = value(*[np.concatenate([t.data + 1e-7 * v, t.data - 1e-7 * v])
+                       for t, v in zip(params, tangents)])
+        err = T.max_rel_err(slope, (ends[:4] - ends[4:]) / 2e-7)
+    return CheckResult("full-model (tiny MMTSN)", err, MODEL_TOL)
 
 
 def run_suite(seed=0):

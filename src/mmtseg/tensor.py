@@ -23,13 +23,14 @@ does not map and fault in fresh memory on every call.
 
 Every op computes its output with one array kernel, and every graph node
 keeps the kernel and non-tensor arguments that made it, so `replayer` can
-re-run just the kernels downstream of one input, for B values of it at once
-as lanes: every replayed array has a leading lane axis, each kernel runs
-once for all lanes, and each lane is bitwise a forward pass of its own. The
-calls the ops make carry no lanes. A replay frees each value after its last
-consumer. `grad_check` records its objective once, runs one backward pass
-and takes every central difference from one replay; one more lane of it must
-match a fresh evaluation of the objective bitwise, or the check fails.
+re-run just the kernels downstream of some inputs, for B values of each at
+once as lanes: every replayed array has a leading lane axis, each kernel
+runs once for all lanes, and each lane is bitwise a forward pass of its own,
+in float64 when the lanes are. The calls the ops make carry no lanes. A
+replay frees each value after its last consumer. `grad_check` records its
+objective once, runs one backward pass and takes every central difference
+from one replay; one more lane of it must match a fresh evaluation of the
+objective bitwise, or the check fails.
 """
 
 from __future__ import annotations
@@ -262,15 +263,15 @@ def _reduce_to(g, kind):
 _lanes = 0
 _add = operator.add
 _mul_broadcast = operator.mul
-_global_avg_pool = lambda x: x.mean((-3, -2, -1), np.float64, keepdims=True).astype(np.float32)
+_global_avg_pool = lambda x: x.mean((-3, -2, -1), np.float64, keepdims=True).astype(x.dtype)
 _slice_channels = lambda x, start, stop: x[..., start:stop, :, :, :].copy()
 _nearest_upsample = lambda x: np.repeat(np.repeat(np.repeat(x, 2, -3), 2, -2), 2, -1)
 
 
 def _tensor_sum(x):
     if _lanes:  # the operand of a replayed sum always has lanes
-        return np.float32(x.reshape(_lanes, -1).sum(1, dtype=np.float64))
-    return np.float32(x.sum(dtype=np.float64))
+        return x.reshape(_lanes, -1).sum(1, dtype=np.float64).astype(x.dtype)
+    return x.sum(dtype=np.float64).astype(x.dtype)
 
 
 def _div(a, b, ndim):
@@ -357,6 +358,7 @@ def sigmoid(x):
 
     Without the clamp float32 rounds saturated outputs to exactly 0 or 1,
     which kills the gradient exactly and freezes training permanently.
+    Float64 lanes keep float32's bounds.
     """
     out = _sigmoid(x.data)
     return _make(out, [x], lambda g: (g * out * (1.0 - out),), _sigmoid)
@@ -367,7 +369,7 @@ def _softmax_channels(x):
     z -= z.max(axis=-4, keepdims=True)
     e = np.exp(z)
     s = e / e.sum(axis=-4, keepdims=True)
-    return s.astype(np.float32), s
+    return s.astype(x.dtype), s
 
 
 def softmax_channels(x):
@@ -559,7 +561,7 @@ def _conv3d(x, kernel, bias):
     else:
         out = _grid(_correlate(k64, x_taps), extents, plane, row, 0, lanes, length)
     out = out + bias.astype(np.float64)[..., np.newaxis, np.newaxis, np.newaxis]
-    return out.astype(np.float32), (lead, plane, row, span), x_taps, k64
+    return out.astype(np.result_type(x, kernel, bias)), (lead, plane, row, span), x_taps, k64
 
 
 def conv3d(x, kernel, bias):
@@ -680,46 +682,46 @@ def nearest_upsample(x):
     return _make(_nearest_upsample(x.data), [x], backward, _nearest_upsample)
 
 
-def replayer(root, leaf):
-    """`value(lanes)`: the B×`root.shape` values of `root` recomputed from a
-    B×`leaf.shape` array of B values of `leaf`.
+def replayer(root, *leaves):
+    """`value(*lanes)`: the B×`root.shape` values of `root` recomputed from
+    one B×`leaf.shape` array per leaf, B values of each of `leaves`.
 
     `root` must have been made with the graph recorded. `value` runs, in
-    forward order, the array kernels of the recorded ops that `leaf`
-    reaches, each once for all lanes: every replayed value has the lanes as
-    its leading axis (see `_conv3d`), and the recorded values of the rest
-    are shared among them. It makes no tensor and records no graph, and it
-    frees each replayed value after its last consumer. Ops depend only on
-    their operands, so each lane, a single one too, is bitwise the root of a
-    full forward pass with `leaf.data` set to it, as long as the recording
-    stands for that pass.
+    forward order, the array kernels of the recorded ops the leaves reach,
+    each once for all lanes: every replayed value has the lanes as its
+    leading axis (see `_conv3d`), and the recorded values of the rest are
+    shared among them. It makes no tensor and records no graph, and it frees
+    each replayed value after its last consumer. Ops depend only on their
+    operands, so each lane, a single one too, is bitwise the root of a full
+    forward pass with every leaf's data set to its lane, as long as the
+    recording stands for that pass. Float64 lanes replay in float64.
 
-    It does not when the pass reads `leaf` outside the ops, when an op left a
-    parent edge out, or when the pass ran under `no_grad`: then `leaf`
-    reaches less of the recording than of the pass, and an unreached root
+    It does not when the pass reads a leaf outside the ops, when an op left
+    a parent edge out, or when the pass ran under `no_grad`: then the leaves
+    reach less of the recording than of the pass, and an unreached root
     repeats its recorded value in every lane. Replay also freezes Python
     control flow at the recorded pass: a branch taken on a value, such as the
     zero-mass branch of `losses.spatial_constraint_loss`, stays as it was
     recorded. `grad_check` tests its recording with one lane more.
     """
-    if not hasattr(root, "_ancestors"):  # one graph walk per recording, not per leaf
+    if not hasattr(root, "_ancestors"):  # one graph walk per recording, not per plan
         root._ancestors = _topo_order(root)[:0:-1]  # forward order; no cycle through root
     # the reached nodes, each with its parents (positions in the replay or recorded
     # arrays) and the positions it is the last consumer of, which it frees
     plan = []
-    at = {id(leaf): 0}  # position 0 holds the leaf's lanes
+    at = {id(leaf): n for n, leaf in enumerate(leaves)}  # the first positions hold the lanes
     for node in (*root._ancestors, root):
         if any(id(p) in at for p in node._parents):
-            at[id(node)] = len(plan) + 1
+            at[id(node)] = len(leaves) + len(plan)
             plan.append((node, [at.get(id(p), p.data) for p in node._parents], []))
     last = {p: step for step, (_, parents, _) in enumerate(plan) for p in parents if type(p) is int}
     for p, step in last.items():
         plan[step][2].append(p)
 
-    def value(lanes):
+    def value(*lanes):
         global _lanes
-        now = [lanes]
-        _lanes = len(lanes)
+        now = [*lanes]
+        _lanes = len(lanes[0])
         try:
             for node, parents, free in plan:
                 kernel, extra = node._call
@@ -734,11 +736,25 @@ def replayer(root, leaf):
                 now.append(out)
         finally:
             _lanes = 0
-        if len(now) == 1:  # `leaf` does not reach `root`
-            return np.repeat(root.data[np.newaxis], len(lanes), 0)
+        if not plan:  # no leaf reaches `root`
+            return np.repeat(root.data[np.newaxis], len(lanes[0]), 0)
         return now[-1]
 
     return value
+
+
+def _evaluate(f, leaves, values):
+    """`f().data` under `no_grad` with each leaf's data set to its value;
+    the data is restored afterwards, also when `f` raises."""
+    kept = [t.data.copy() for t in leaves]
+    try:
+        for t, v in zip(leaves, values):
+            t.data[...] = v
+        with no_grad():
+            return f().data
+    finally:
+        for t, v in zip(leaves, kept):
+            t.data[...] = v
 
 
 def grad_check(f, x, step=1e-3):
@@ -770,39 +786,17 @@ def grad_check(f, x, step=1e-3):
         x.requires_grad = needed_grad
     x.zero_grad()
 
-    kept = x.data.copy()
-    shifted = kept + step
-    numeric, (replayed,) = _central_differences(replayer(root, x), kept, range(kept.size), step,
-                                                shifted)
-    try:
-        x.data[...] = shifted
-        with no_grad():
-            guard = f(x).data
-    finally:
-        x.data[...] = kept
-    if replayed.tobytes() != guard.tobytes():
+    # lane n moves entry n up by `step`, lane k + n moves it down, lane 2·k moves all up
+    k = x.data.size
+    lanes = np.repeat(x.data[np.newaxis], 2 * k + 1, 0)
+    flat, n = lanes.reshape(2 * k + 1, k), np.arange(k)
+    flat[n, n] = flat[2 * k] = x.data.reshape(-1) + step
+    flat[k + n, n] = x.data.reshape(-1) - step
+    out = replayer(root, x)(lanes)
+    if out[2 * k].tobytes() != _evaluate(lambda: f(x), [x], [lanes[2 * k]]).tobytes():
         return math.inf
-    return max_rel_err(analytic, numeric)
-
-
-def _central_differences(value, data, coords, step, *extra):
-    """(value at +step − value at −step) / (2·step) at each of `coords` of
-    the flattened `data`, and the values at each array of `extra`, all from
-    one call `value(lanes)` (see `replayer`): lane n moves coordinate n up by
-    `step`, lane k + n moves it down, and the arrays of `extra` follow.
-    `data` itself is left as it is."""
-    k = len(coords)
-    lanes = np.repeat(data[np.newaxis], 2 * k + len(extra), 0)
-    flat = lanes[:2 * k].reshape(2, k, -1)
-    for n, i in enumerate(coords):
-        orig = data.flat[i]
-        flat[0, n, i] = orig + step
-        flat[1, n, i] = orig - step
-    for n, more in enumerate(extra):
-        lanes[2 * k + n] = more
-    out = value(lanes)
     up, down = out[:2 * k].astype(np.float64).reshape(2, k)
-    return (up - down) / (2.0 * step), out[2 * k:]
+    return max_rel_err(analytic, (up - down) / (2.0 * step))
 
 
 def max_rel_err(a, b):

@@ -6,8 +6,9 @@ Run it from a checkout, once per tree, and compare the printed lines:
 
 It prints, one per line:
 
-- the sha256 of the `name<TAB>max_err!r` lines of `gradcheck.run_suite(N)`,
-  for N = 0-19;
+- the sha256 of the `name<TAB>max_err!r<TAB>tol!r` lines of the op and
+  fusion-block checks of `gradcheck.run_suite(N)` for N = 0-19, and the
+  sha256 of its full-model lines, so a change to one shows the other kept;
 - the sha256 of the stdout and the exit code of `mmtseg gradcheck --seed N`
   for the seeds in `CLI_SEEDS`;
 - the sha256 of `loss_log.csv`, every `checkpoint.*` file and the `eval`
@@ -39,9 +40,13 @@ def sha256(data):
 
 
 def suite_digests():
+    checks, model = hashlib.sha256(), hashlib.sha256()
     for seed in SUITE_SEEDS:
-        lines = "".join(f"{r.name}\t{r.max_err!r}\n" for r in run_suite(seed))
-        yield f"run_suite({seed})", sha256(lines.encode())
+        *units, full = run_suite(seed)
+        for digest, results in ((checks, units), (model, [full])):
+            digest.update("".join(f"{r.name}\t{r.max_err!r}\t{r.tol!r}\n" for r in results).encode())
+    yield "op and fusion-block checks, seeds 0-19", checks.hexdigest()
+    yield "full-model check, seeds 0-19", model.hexdigest()
 
 
 def cli_digests():

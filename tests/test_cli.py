@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import mmtseg.cli
+import mmtseg.model
 import mmtseg.tensor
 from mmtseg.cli import _predict_labels, main
 from mmtseg.model import load_blob, save_blob
@@ -592,6 +593,15 @@ class TestGradcheckCommand:
         monkeypatch.setattr(mmtseg.tensor, "conv3d", faulty)
         assert main(["gradcheck"]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+    def test_dropped_parent_edge_fails_without_traceback(self, monkeypatch, capsys):
+        # a sigmoid made a new leaf: what feeds it gets no gradient at all
+        real = mmtseg.model.sigmoid
+        monkeypatch.setattr(mmtseg.model, "sigmoid", lambda x: mmtseg.tensor.Tensor(real(x).data))
+        assert main(["gradcheck"]) == 1
+        (line,) = [l for l in capsys.readouterr().out.splitlines() if "full-model" in l]
+        assert line.startswith("FAIL") and "max_rel_err=inf" in line
 
 
 class TestCompare:

@@ -722,6 +722,25 @@ class TestReplayer:
         for entries in ([0, 5], [3]):
             self.assert_lanes_replay_forward(g, x, replayer(root, x), entries)
 
+    def test_float64_operands_give_float64_values(self, rng):
+        # float64 lanes replay in float64; a kernel that rounded to float32
+        # would hide the differences `model_check` takes at step 1e-7
+        x = rng.uniform(-1, 1, (3, 2, 3, 4))
+        e = np.exp(x - x.max(0))
+        pairs = [(mmtseg.tensor._tensor_sum(x), x.sum()),
+                 (mmtseg.tensor._global_avg_pool(x), x.mean((1, 2, 3), keepdims=True)),
+                 (mmtseg.tensor._softmax_channels(x)[0], e / e.sum(0))]
+        # a float32 input with float64 kernel lanes, as at a model's first convs
+        x = rng.uniform(-1, 1, (2, 3, 3, 3)).astype(np.float32)
+        k = rng.uniform(-1, 1, (2, 2, 2, 3, 3, 3))
+        b = rng.uniform(-1, 1, 2).astype(np.float32)
+        g = np.zeros((2, 3, 3, 3))
+        want = [oracle_conv3d(x, lane, b, g, (1, 1, 1), (1, 1, 1))[0] for lane in k]
+        pairs.append((mmtseg.tensor._conv3d(x, k, b)[0], np.array(want)))
+        for got, want in pairs:
+            assert got.dtype == np.float64
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+
     def test_kernel_that_drops_the_lanes_fails_the_replay(self, rng, monkeypatch):
         x = rand_tensor(rng, (2, 2, 2, 2))
         r = relu(x)
