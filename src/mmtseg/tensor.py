@@ -108,10 +108,10 @@ class Tensor:
     Tensors produced by ops are treated as immutable. `grad` accumulates
     across `backward` calls until explicitly cleared. A graph node also
     keeps the call that made it: `_call` is (array kernel, non-tensor
-    arguments). A root that `replayer` has walked keeps its `_ancestors`.
+    arguments).
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_call", "_ancestors")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_call")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float32)
@@ -256,11 +256,13 @@ def _reduce_to(g, kind):
 # closure keeps if it keeps anything. `replayer` runs the same kernels; there, scalars
 # stay numpy scalars, whose operators cost a tenth of a ufunc call.
 #
-# In a replay with lanes (`_lanes` > 0) every array that depends on the replayed
-# leaf has one leading lane axis more than its recorded value; the other operands
-# are the recorded arrays. The channel axis of a map is −4 and its spatial axes
-# −3…−1 either way, and elementwise kernels broadcast the lane axis as it comes.
-_lanes = 0
+# A kernel depends on its arguments alone. In a replay, an operand that depends on a
+# replayed leaf is laned: it has one leading lane axis more than its recorded value,
+# and the other operands are the recorded arrays. A kernel tells the two apart by
+# shape, against the ndims its op recorded where shape alone cannot tell, and each
+# lane of its output is bitwise its output on that lane's operands. The channel axis
+# of a map is −4 and its spatial axes −3…−1 either way, and elementwise kernels
+# broadcast the lane axis as it comes.
 _add = operator.add
 _mul_broadcast = operator.mul
 _global_avg_pool = lambda x: x.mean((-3, -2, -1), np.float64, keepdims=True).astype(x.dtype)
@@ -268,21 +270,20 @@ _slice_channels = lambda x, start, stop: x[..., start:stop, :, :, :].copy()
 _nearest_upsample = lambda x: np.repeat(np.repeat(np.repeat(x, 2, -3), 2, -2), 2, -1)
 
 
-def _tensor_sum(x):
-    if _lanes:  # the operand of a replayed sum always has lanes
-        return x.reshape(_lanes, -1).sum(1, dtype=np.float64).astype(x.dtype)
-    return x.sum(dtype=np.float64).astype(x.dtype)
+def _tensor_sum(x, ndim):
+    return x.reshape(*x.shape[:x.ndim - ndim], -1).sum(-1, np.float64).astype(x.dtype)
 
 
-def _div(a, b, ndim):
-    if _lanes and b.size == _lanes:  # one divisor per lane; the `ndim`-d dividend may have lanes
+def _div(a, b, ndim, b_ndim):
+    if b.ndim > b_ndim:  # one divisor per lane; the `ndim`-d dividend may have lanes
         return a / b.reshape(-1, *(1,) * ndim)
     return a / b.flat[0]
 
 
 def _concat_channels(*parts):
-    if _lanes:  # recorded maps repeat across the lanes
-        parts = [p if p.ndim == 5 else np.broadcast_to(p, (_lanes, *p.shape)) for p in parts]
+    lanes = [len(p) for p in parts if p.ndim == 5]
+    if lanes:  # recorded maps repeat across the lanes
+        parts = [p if p.ndim == 5 else np.broadcast_to(p, (lanes[0], *p.shape)) for p in parts]
     return np.concatenate(parts, axis=-4)
 
 
@@ -323,7 +324,8 @@ def div(a, b):
             -np.sum(g.astype(np.float64) * a.data) / (bv * bv), dtype=np.float32
         ).reshape(b.data.shape)
         return (ga, gb)
-    return _make(_div(a.data, b.data, a.data.ndim), [a, b], backward, _div, a.data.ndim)
+    ndims = a.data.ndim, b.data.ndim
+    return _make(_div(a.data, b.data, *ndims), [a, b], backward, _div, *ndims)
 
 
 def _relu(x):
@@ -385,8 +387,8 @@ def softmax_channels(x):
 
 def tensor_sum(x):
     """Sum of all elements as a scalar tensor (float64 accumulator)."""
-    return _make(_tensor_sum(x.data), [x], lambda g: (np.broadcast_to(g, x.data.shape),),
-                 _tensor_sum)
+    return _make(_tensor_sum(x.data, x.data.ndim), [x],
+                 lambda g: (np.broadcast_to(g, x.data.shape),), _tensor_sum, x.data.ndim)
 
 
 def global_avg_pool(x):
@@ -686,12 +688,14 @@ def replayer(root, *leaves):
     """`value(*lanes)`: the B×`root.shape` values of `root` recomputed from
     one B×`leaf.shape` array per leaf, B values of each of `leaves`.
 
-    `root` must have been made with the graph recorded. `value` runs, in
-    forward order, the array kernels of the recorded ops the leaves reach,
-    each once for all lanes: every replayed value has the lanes as its
-    leading axis (see `_conv3d`), and the recorded values of the rest are
-    shared among them. It makes no tensor and records no graph, and it frees
-    each replayed value after its last consumer. Ops depend only on their
+    `root` must have been made with the graph recorded; each call walks it
+    once to plan the replay. `value` runs, in forward order, the array
+    kernels of the recorded ops the leaves reach, each once for all lanes:
+    every replayed value has the lanes as its leading axis, the recorded
+    values of the rest are shared among them, and each kernel tells the two
+    apart by shape (see `_conv3d`), so it is passed nothing but its
+    arguments. It makes no tensor and records no graph, and it frees each
+    replayed value after its last consumer. Ops depend only on their
     operands, so each lane, a single one too, is bitwise the root of a full
     forward pass with every leaf's data set to its lane, as long as the
     recording stands for that pass. Float64 lanes replay in float64.
@@ -704,13 +708,11 @@ def replayer(root, *leaves):
     zero-mass branch of `losses.spatial_constraint_loss`, stays as it was
     recorded. `grad_check` tests its recording with one lane more.
     """
-    if not hasattr(root, "_ancestors"):  # one graph walk per recording, not per plan
-        root._ancestors = _topo_order(root)[:0:-1]  # forward order; no cycle through root
     # the reached nodes, each with its parents (positions in the replay or recorded
     # arrays) and the positions it is the last consumer of, which it frees
     plan = []
     at = {id(leaf): n for n, leaf in enumerate(leaves)}  # the first positions hold the lanes
-    for node in (*root._ancestors, root):
+    for node in reversed(_topo_order(root)):  # forward order
         if any(id(p) in at for p in node._parents):
             at[id(node)] = len(leaves) + len(plan)
             plan.append((node, [at.get(id(p), p.data) for p in node._parents], []))
@@ -719,25 +721,20 @@ def replayer(root, *leaves):
         plan[step][2].append(p)
 
     def value(*lanes):
-        global _lanes
-        now = [*lanes]
-        _lanes = len(lanes[0])
-        try:
-            for node, parents, free in plan:
-                kernel, extra = node._call
-                out = kernel(*[now[p] if type(p) is int else p for p in parents], *extra)
-                if type(out) is tuple:  # the output and what the op's backward keeps
-                    out = out[0]
-                if out.shape != (_lanes, *node.data.shape):
-                    raise ShapeError(f"{kernel.__name__} cannot replay lanes of these operands")
-                _check_finite(out, "op output")
-                for p in free:
-                    now[p] = None
-                now.append(out)
-        finally:
-            _lanes = 0
+        now, b = [*lanes], len(lanes[0])
+        for node, parents, free in plan:
+            kernel, extra = node._call
+            out = kernel(*[now[p] if type(p) is int else p for p in parents], *extra)
+            if type(out) is tuple:  # the output and what the op's backward keeps
+                out = out[0]
+            if out.shape != (b, *node.data.shape):
+                raise ShapeError(f"{kernel.__name__} cannot replay lanes of these operands")
+            _check_finite(out, "op output")
+            for p in free:
+                now[p] = None
+            now.append(out)
         if not plan:  # no leaf reaches `root`
-            return np.repeat(root.data[np.newaxis], len(lanes[0]), 0)
+            return np.repeat(root.data[np.newaxis], b, 0)
         return now[-1]
 
     return value

@@ -275,7 +275,6 @@ def train(config: TrainConfig, cases, out_dir, resume_from=None) -> TrainResult:
                 img, lbl = augment(img, lbl, _augment_seed(config.seed, step))
             regions = derive_regions(LabelVolume(lbl))
 
-            graph.zero_grads()
             outputs = graph.forward(img)
             loss, components = total_loss(outputs, lbl, regions, config.weights)
             if not np.isfinite(components["total"]):

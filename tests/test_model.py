@@ -356,9 +356,9 @@ class TestFullModelGradient:
         assert [r.line() for r in map(model_check, range(20)) if not r.passed] == []
 
     def test_replayed_objective_bitwise_equals_full_forward(self):
-        # The replayed values feed every central difference; a replay that
-        # skips an op its parameter reaches can still pass the loose bound,
-        # so this equality is the gate for the replay.
+        # The replayed values feed every directional difference. A replay that
+        # skips an op its parameter reaches fails `model_check` through its
+        # guard lane; this equality names the parameter whose replay does.
         graph, patch, objective = tiny_mmtsn(0)
         root = objective(graph.forward(patch))
         for name, param in graph.params.items():
@@ -399,7 +399,7 @@ class TestFullModelGradient:
         # A copied tap row pays off only when it feeds enough output rows. Tiling
         # by channels per tap alone copied 880 MB of float64 here, mostly for the
         # 2-row `dec0` and `fuse` convs with 16 kernel lanes; tiling only while
-        # the channels are at most twice the output rows copies 24 MB.
+        # the channels are at most twice the output rows copies 8.9 MB.
         copied = []
         tile = mmtseg.tensor._tile
 

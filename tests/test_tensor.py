@@ -722,12 +722,38 @@ class TestReplayer:
         for entries in ([0, 5], [3]):
             self.assert_lanes_replay_forward(g, x, replayer(root, x), entries)
 
+    def test_kernels_tell_lanes_by_shape(self, rng):
+        # the twin of tests/test_conv_lanes.py: outside any replay, each lane of a
+        # kernel's output on laned operands is bitwise its output on that lane's own
+        def a(*shape):
+            return rng.uniform(-1, 1, shape).astype(np.float32)
+
+        T = mmtseg.tensor
+        cases = [  # kernel, operands, which are laned, non-tensor arguments
+            (T._tensor_sum, [a(3, 2, 2, 3, 2)], [True], [4]),
+            (T._tensor_sum, [a(3)], [True], [0]),
+            (T._concat_channels, [a(3, 2, 2, 3, 2), a(3, 1, 2, 3, 2)], [True, True], []),
+            (T._concat_channels, [a(2, 2, 3, 2), a(3, 1, 2, 3, 2), a(1, 2, 3, 2)],
+             [False, True, False], []),
+            (T._div, [a(3, 2, 2, 3, 2), a(3)], [True, True], [4, 0]),
+            (T._div, [a(3, 2, 2, 3, 2), a()], [True, False], [4, 0]),
+            (T._div, [a(2, 2, 3, 2), a(3)], [False, True], [4, 0]),  # a recorded map
+            (T._div, [a(2, 2, 3, 2), a(1, 1)], [False, True], [4, 1]),  # one lane
+        ]
+        for kernel, operands, laned, extra in cases:
+            out = kernel(*operands, *extra)
+            lanes = next(len(x) for x, has in zip(operands, laned) if has)
+            assert out.shape[0] == lanes
+            for n in range(lanes):
+                own = [np.asarray(x[n]) if has else x for x, has in zip(operands, laned)]
+                assert np.array_equal(bits(out[n]), bits(kernel(*own, *extra))), kernel.__name__
+
     def test_float64_operands_give_float64_values(self, rng):
         # float64 lanes replay in float64; a kernel that rounded to float32
         # would hide the differences `model_check` takes at step 1e-7
         x = rng.uniform(-1, 1, (3, 2, 3, 4))
         e = np.exp(x - x.max(0))
-        pairs = [(mmtseg.tensor._tensor_sum(x), x.sum()),
+        pairs = [(mmtseg.tensor._tensor_sum(x, x.ndim), x.sum()),
                  (mmtseg.tensor._global_avg_pool(x), x.mean((1, 2, 3), keepdims=True)),
                  (mmtseg.tensor._softmax_channels(x)[0], e / e.sum(0))]
         # a float32 input with float64 kernel lanes, as at a model's first convs
