@@ -193,14 +193,11 @@ def _report(command, config_dict, seed, named_cases, predict):
 def cmd_eval(args):
     if args.self_check and args.checkpoint is not None:
         raise UsageError("--self-check scores ground truth, not --checkpoint; give one of them")
-    if not args.self_check and args.seed is not None:
-        raise UsageError("--seed is only recorded by --self-check; a checkpoint "
-                         "report records the training seed")
     named_cases = _load_cases(args.data_dir)
     if args.self_check:
         predict = lambda volume, labels: labels  # ground truth against itself
         config_dict = {"self_check": True}
-        seed = args.seed if args.seed is not None else 0
+        seed = 0
     else:
         if args.checkpoint is None:
             raise UsageError("--checkpoint is required unless --self-check is given")
@@ -317,7 +314,6 @@ def build_parser():
     p.add_argument("--checkpoint", help="checkpoint path prefix (no extension)")
     p.add_argument("--data-dir", required=True)
     p.add_argument("--report", required=True)
-    p.add_argument("--seed", type=int, help="seed a --self-check report records (default 0)")
     p.add_argument(
         "--self-check",
         action="store_true",

@@ -22,12 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .losses import (
-    LossWeights,
-    multiclass_dice_loss,
-    soft_dice_loss,
-    spatial_constraint_loss,
-)
+from .losses import LossWeights, total_loss
 from .model import SCFB, ModelConfig, ParamStore, build_model
 from .phantom import derive_regions, generate_phantom
 from .pipeline import normalize
@@ -157,17 +152,15 @@ def tiny_mmtsn(seed):
     drawn from U(-0.1, 0.1), so no ReLU input sits exactly at its kink, an 8³
     patch of a 16³ phantom, and its probe objective of `ForwardOutputs`.
 
-    The objective composes every loss term with full two-sided gradients
-    (the training objective detaches the containment outer side on purpose,
-    which a finite-difference comparison would flag), added left to right:
-    the main Dice, λ·Dice per region, and λsc·containment over all three
-    regions.
+    The objective is the training objective `total_loss` at the default
+    weights, except that the containment terms keep the outer region in the
+    graph: the finite differences see every path, and a detached outer
+    region would make the guard lane fail.
     """
     vol, labels = generate_phantom(seed, (16, 16, 16))
     patch = normalize(vol).data[:, 4:12, 4:12, 4:12]
     lbl = labels.data[4:12, 4:12, 4:12]
     regions = derive_regions(type(labels)(lbl))
-    w = LossWeights()
     graph = build_model("MMTSN", ModelConfig(depth=2, base_channels=2), seed=seed)
     rng = np.random.default_rng(seed + 98)
     for name, t in graph.params.items():
@@ -175,14 +168,7 @@ def tiny_mmtsn(seed):
             t.data[...] = rng.uniform(-0.1, 0.1, t.data.shape)
 
     def objective(out):
-        total = multiclass_dice_loss(out.main_probs, lbl)
-        for region, lam in (("wt", w.lambda_wt), ("tc", w.lambda_tc), ("et", w.lambda_et)):
-            target = getattr(regions, region)[np.newaxis]
-            total = total + lam * soft_dice_loss(getattr(out, f"{region}_prob"), target)
-        sc = spatial_constraint_loss(out.wt_prob, out.tc_prob) + spatial_constraint_loss(
-            out.tc_prob, out.et_prob
-        )
-        return total + w.lambda_sc * sc
+        return total_loss(out, lbl, regions, LossWeights(), outer=lambda t: t)[0]
 
     return graph, patch, objective
 

@@ -92,18 +92,20 @@ def _detached(t: Tensor) -> Tensor:
     return Tensor(t.data)
 
 
-def total_loss(outputs, labels, regions, weights: LossWeights):
+def total_loss(outputs, labels, regions, weights: LossWeights, outer=_detached):
     """Weighted objective plus a per-component float breakdown.
 
     Variants without branch heads contribute only the main-branch term;
     their branch and constraint components are reported as 0.
 
-    The containment terms are evaluated with the outer region detached
-    from the graph: gradients pull stray inner mass back inside, but never
-    inflate the outer prediction to cover it. With gradients on both sides
-    the outer branches blow up to all-foreground within a few steps (the
-    upward force on a diffuse outer prediction provably exceeds the Dice
-    restoring force at these weights) and saturate unrecoverably.
+    Both containment terms apply `outer` to the enclosing region. The
+    default detaches it from the graph, as training needs: gradients pull
+    stray inner mass back inside, but never inflate the outer prediction to
+    cover it. With gradients on both sides the outer branches blow up to
+    all-foreground within a few steps (the upward force on a diffuse outer
+    prediction provably exceeds the Dice restoring force at these weights)
+    and saturate unrecoverably. A gradient check passes the identity, so
+    that its finite differences and its analytic gradient see the same paths.
     """
     loss_bt = multiclass_dice_loss(outputs.main_probs, labels)
     total = loss_bt
@@ -117,8 +119,8 @@ def total_loss(outputs, labels, regions, weights: LossWeights):
             "et": soft_dice_loss(outputs.et_prob, regions.et[np.newaxis]),
         }
         loss_sc = spatial_constraint_loss(
-            _detached(outputs.wt_prob), outputs.tc_prob
-        ) + spatial_constraint_loss(_detached(outputs.tc_prob), outputs.et_prob)
+            outer(outputs.wt_prob), outputs.tc_prob
+        ) + spatial_constraint_loss(outer(outputs.tc_prob), outputs.et_prob)
         for region, lam in (
             ("wt", weights.lambda_wt),
             ("tc", weights.lambda_tc),

@@ -209,8 +209,8 @@ class UNetSum:
 class FusedNet:
     """Main branch whose encoder fuses sub-branch features at every scale.
 
-    `forward` and `predict` compose the same parts: `encode`, `fused_maps`
-    and `main_probs`.
+    `forward` and `predict` share `encode` and the main branch; `forward`
+    adds the sub-branch decoders.
     """
 
     def __init__(self, store, depth, base, fusion_cls):
@@ -228,33 +228,28 @@ class FusedNet:
         self.decoder = Decoder(store, "main", NUM_CLASSES, depth, base)
 
     def predict(self, patch_np):
-        return self.main_probs(self.fused_maps(patch_np, self.encode(patch_np)))
+        return self._main(patch_np, self.encode(patch_np))
 
     def forward(self, patch_np):
         feats = self.encode(patch_np)
         probs = {f"{region}_prob": sigmoid(self.branches[region].decoder(f))
                  for region, f in feats.items()}
-        main = self.main_probs(self.fused_maps(patch_np, feats))
-        return ForwardOutputs(main_probs=main, **probs)
+        return ForwardOutputs(main_probs=self._main(patch_np, feats), **probs)
 
     def encode(self, patch_np):
         """Per-scale encoder features of every sub-branch, by region."""
         return {region: branch.encode(patch_np) for region, branch in self.branches.items()}
 
-    def fused_maps(self, patch_np, branch_feats):
-        """Per-scale fused maps of the main encoder, finest first: its own
-        features fused with `branch_feats` (by region, as `encode` returns
-        them) at every scale."""
+    def _main(self, patch_np, branch_feats):
+        """Main-branch class probabilities: the main encoder's own features
+        fused with `branch_feats` (by region, as `encode` returns them) at
+        every scale, then decoded."""
         fused = []
         h = Tensor(patch_np)
         for i, (conv, fusion) in enumerate(zip(self.enc, self.fusions)):
             own = relu(conv(max_pool3d(h) if i else h))
             h = fusion([feats[i] for feats in branch_feats.values()] + [own])
             fused.append(h)
-        return fused
-
-    def main_probs(self, fused):
-        """Main-branch class probabilities from the per-scale fused maps."""
         return softmax_channels(self.decoder(fused))
 
 

@@ -149,10 +149,6 @@ def _augment_seed(seed, step):
     return (seed * 1_000_003 + step) % (2**63)
 
 
-# the config fields a checkpoint's meta records; the meta adds the Adam `step`
-META_FIELDS = ("variant", "depth", "base_channels", "patch_extents", "seed")
-
-
 def _checkpoint_entries(graph: ModelGraph, state: AdamState):
     """Entry name -> the live array a checkpoint saves from and loads into.
 
@@ -166,39 +162,31 @@ def _checkpoint_entries(graph: ModelGraph, state: AdamState):
 
 
 def save_checkpoint(path, graph: ModelGraph, state: AdamState, config: TrainConfig):
-    fields = config.to_dict()
-    meta = {k: fields[k] for k in META_FIELDS}
-    meta["step"] = state.step
-    save_blob(path, _checkpoint_entries(graph, state), meta)
-
-
-def _check_meta(path, meta):
-    """Key presence and the Adam step; `TrainConfig` checks the other values."""
-    missing = [k for k in META_FIELDS + ("step",) if k not in meta]
-    if missing:
-        raise ValueError(f"checkpoint {path} meta lacks {missing}")
-    if not (_is_int(meta["step"]) and meta["step"] >= 0):
-        raise ValueError(
-            f"checkpoint {path} meta step must be an integer >= 0, got {meta['step']!r}"
-        )
+    save_blob(path, _checkpoint_entries(graph, state), dict(config.to_dict(), step=state.step))
 
 
 def load_checkpoint(path):
     """Rebuild graph, optimizer state and the config the file was saved with.
 
-    The saved entries must be exactly the rebuilt graph's parameters and Adam
-    moments, each with its shape and finite values. The config carries the
-    manifest meta; every other field is at its default.
+    The meta must hold every `TrainConfig` field and the Adam `step`; a file
+    written before the meta held the loss weights is refused, not loaded
+    with defaults. The saved entries must be exactly the rebuilt graph's
+    parameters and Adam moments, each with its shape and finite values.
     """
     named, meta = load_blob(path)
-    _check_meta(path, meta)
+    missing = [k for k in (*TrainConfig.__dataclass_fields__, "step") if k not in meta]
+    if missing:
+        raise ValueError(f"checkpoint {path} meta lacks {missing}")
+    step = meta.pop("step")
+    if not (_is_int(step) and step >= 0):
+        raise ValueError(f"checkpoint {path} meta step must be an integer >= 0, got {step!r}")
     try:
-        config = TrainConfig(**{k: meta[k] for k in META_FIELDS})
-    except ValueError as exc:
+        config = TrainConfig.from_dict(meta)
+    except (TypeError, ValueError) as exc:
         raise ValueError(f"checkpoint {path} meta: {exc}") from exc
     graph = build_model(config.variant, config.model_config(), seed=config.seed)
     state = AdamState.init_like(graph.params)
-    state.step = meta["step"]
+    state.step = step
     targets = _checkpoint_entries(graph, state)
     missing = sorted(set(targets) - set(named))
     extra = sorted(set(named) - set(targets))
@@ -257,9 +245,10 @@ def train(config: TrainConfig, cases, out_dir, resume_from=None) -> TrainResult:
         state = AdamState.init_like(graph.params)
     else:
         graph, state, saved = load_checkpoint(resume_from)
-        for key in META_FIELDS:
+        for key in TrainConfig.__dataclass_fields__:
             have, want = getattr(saved, key), getattr(config, key)
-            if have != want:
+            # only the run length and the save cadence leave the trained values alone
+            if have != want and key not in ("steps", "checkpoint_interval"):
                 raise TrainingError(
                     f"checkpoint {key}={have!r} does not match config {key}={want!r}"
                 )

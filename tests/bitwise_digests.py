@@ -17,7 +17,9 @@ It prints, one per line:
   writes from its checkpoint, and of an `eval --self-check` report;
 - the sha256 of every file of a 3-step run of each variant with a periodic
   checkpoint every 2 steps, and of a 2-step `compare` at depth 2, base 2,
-  8³ patches.
+  8³ patches;
+- after each `checkpoint.json` line, the sha256 of that manifest's entry
+  list alone, so a change to the meta shows apart from one to the entries.
 
 The runs are made in a temporary directory that is removed afterwards.
 
@@ -72,9 +74,16 @@ def mmtseg(*argv):
             raise SystemExit(f"mmtseg {argv[0]} failed")
 
 
+def file_digests(name, path):
+    yield name, sha256(path.read_bytes())
+    if path.name == "checkpoint.json":
+        entries = json.loads(path.read_text())["entries"]
+        yield f"{name} entries", sha256(json.dumps(entries, sort_keys=True).encode())
+
+
 def tree_digests(label, directory):
     for path in sorted(p for p in directory.rglob("*") if p.is_file()):
-        yield f"{label} {path.relative_to(directory)}", sha256(path.read_bytes())
+        yield from file_digests(f"{label} {path.relative_to(directory)}", path)
 
 
 def write_config(path, config):
@@ -91,7 +100,7 @@ def run_digests():
         mmtseg("train", "--config", config, "--data-dir", data, "--out-dir", run)
         mmtseg("eval", "--checkpoint", run / "checkpoint", "--data-dir", data, "--report", report)
         for path in [run / "loss_log.csv", *sorted(run.glob("checkpoint.*")), report]:
-            yield path.name, sha256(path.read_bytes())
+            yield from file_digests(path.name, path)
 
         yield from tree_digests("generate", data)
         mmtseg("infer", "--checkpoint", run / "checkpoint", "--data-dir", data,

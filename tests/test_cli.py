@@ -221,12 +221,32 @@ class TestEval:
                      "--data-dir", str(data_dir),
                      "--report", str(tmp_path / "r.json")]) == 2
 
-    def test_seed_without_self_check_exit_2(self, data_dir, trained_run, tmp_path, capsys):
+    # a report records the training seed, or 0 for --self-check
+    def test_seed_option_refused_exit_2(self, data_dir, tmp_path):
         report = tmp_path / "r.json"
-        assert main(["eval", "--checkpoint", str(trained_run / "checkpoint"), "--seed", "5",
-                     "--data-dir", str(data_dir), "--report", str(report)]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--self-check", "--seed", "5", "--data-dir", str(data_dir),
+                  "--report", str(report)])
+        assert exc.value.code == 2
         assert not report.exists()
+
+    # both used to hash the config rebuilt with default loss weights and steps
+    def test_records_the_training_config_hash(self, data_dir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"depth": 2, "base_channels": 2, "steps": 2,
+                                   "weights": {"lambda_sc": 0}}))
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(cfg), "--data-dir", str(data_dir),
+                     "--out-dir", str(run)]) == 0
+        ck = str(run / "checkpoint")
+        assert main(["eval", "--checkpoint", ck, "--data-dir", str(data_dir),
+                     "--report", str(tmp_path / "r.json")]) == 0
+        assert main(["infer", "--checkpoint", ck, "--data-dir", str(data_dir),
+                     "--out-dir", str(tmp_path / "pred")]) == 0
+        trained = json.loads((run / "run_manifest.json").read_text())["config_hash"]
+        assert json.loads((tmp_path / "r.json").read_text())["run"]["config_hash"] == trained
+        assert json.loads((tmp_path / "pred" / "run_manifest.json").read_text())[
+            "config_hash"] == trained
 
     def test_checkpoint_with_self_check_exit_2(self, data_dir, trained_run, tmp_path, capsys):
         report = tmp_path / "r.json"
@@ -276,6 +296,15 @@ def _drop_meta(m):
 
 def _drop_variant(m):
     del m["meta"]["variant"]
+
+
+def _drop_weights(m):  # as older checkpoints lack it; the error must name the key
+    del m["meta"]["weights"]
+    return "weights"
+
+
+def _unknown_weight(m):
+    m["meta"]["weights"]["lambda_bogus"] = 1.0
 
 
 def _drop_entries(m):
@@ -355,7 +384,7 @@ class TestCorruptCheckpoint:
     @pytest.mark.parametrize("command", ["eval", "infer"])
     @pytest.mark.parametrize("corrupt", [_drop_meta, _drop_variant, _drop_entries, _drop_shape,
                                          _str_depth, _int_extents, _int_variant, _drop_moments,
-                                         _list_name,
+                                         _list_name, _drop_weights, _unknown_weight,
                                          _shifted_offset, _overlapping_offset, _float_offset,
                                          _str_shape, _negative_dim, _swapped_entries])
     def test_exit_1_with_error_line(self, data_dir, trained_run, tmp_path, capsys, command,
@@ -552,14 +581,13 @@ class TestLabelExtents:
 
 
 class TestSeedFlag:
-    # each used to exit 1 with numpy's message, or (eval) record the negative seed
-    @pytest.mark.parametrize("command", ["generate", "gradcheck", "eval"])
-    def test_negative_seed_exit_2(self, data_dir, tmp_path, capsys, command):
+    # each used to exit 1 with numpy's message
+    @pytest.mark.parametrize("command", ["generate", "gradcheck"])
+    def test_negative_seed_exit_2(self, tmp_path, capsys, command):
         out = str(tmp_path / "out")
         argv = {
             "generate": ["generate", "--out-dir", out],
             "gradcheck": ["gradcheck"],
-            "eval": ["eval", "--self-check", "--data-dir", str(data_dir), "--report", out],
         }[command]
         capsys.readouterr()
         assert main(argv + ["--seed", "-1"]) == 2
@@ -628,3 +656,8 @@ class TestCompare:
         csv_lines = (out / "table.csv").read_text().strip().splitlines()
         assert csv_lines[0] == "method,dice_et,dice_tc,dice_wt,hd95_et,hd95_tc,hd95_wt"
         assert len(csv_lines) == 6
+
+        # the ablation's checkpoint used to be byte-identical to MMTSN's
+        no_sc = (out / "mmtsn-no-sc" / "checkpoint.json").read_text()
+        assert json.loads(no_sc)["meta"]["weights"]["lambda_sc"] == 0
+        assert no_sc != (out / "mmtsn" / "checkpoint.json").read_text()

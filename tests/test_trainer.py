@@ -104,8 +104,7 @@ class TestTrainLoop:
         assert rows[1].startswith("1,")
         graph, state, saved = load_checkpoint(result.checkpoint_path)
         assert state.step == 1
-        assert saved == TrainConfig(variant="MMTSN", patch_extents=(16, 16, 16), depth=2,
-                                    base_channels=2, seed=3)
+        assert saved == config
 
     def test_zero_init_unet_pre_matches_uniform_analytic(self, tmp_path):
         config = tiny_config(variant="UNET_PRE", steps=1)
@@ -208,12 +207,15 @@ class TestCheckpointing:
             train(tiny_config(variant="MMTSN"), phantom_cases(), tmp_path / "run",
                   resume_from=tmp_path / "ck")
 
-    def test_seed_mismatch_rejected(self, tmp_path):
-        # the seed fixes patch order and augmentation draws, so a resumed run
-        # under another seed would not continue the saved one
+    # each of these shapes the trained values (the seed fixes patch order and
+    # augmentation draws), so a resumed run under another would not continue
+    # the saved one; weights and augment used to resume unrefused
+    @pytest.mark.parametrize("field", ["seed", "weights", "augment"])
+    def test_setting_mismatch_rejected(self, tmp_path, field):
+        value = {"seed": 9, "weights": LossWeights(lambda_sc=0.0), "augment": True}[field]
         part = train(tiny_config(steps=2), phantom_cases(), tmp_path / "part")
-        with pytest.raises(TrainingError, match="seed"):
-            train(tiny_config(steps=4, seed=9), phantom_cases(), tmp_path / "run",
+        with pytest.raises(TrainingError, match=field):
+            train(tiny_config(steps=4, **{field: value}), phantom_cases(), tmp_path / "run",
                   resume_from=part.checkpoint_path)
 
     @pytest.mark.parametrize("interval, saved_steps", [(0, [4]), (2, [2, 4]), (3, [3, 4])])
